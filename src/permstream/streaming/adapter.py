@@ -4,7 +4,9 @@ A stream contains a pattern exactly when the complemented stream (v -> n+1-v)
 contains the complemented pattern.  The adapter complements each value on the
 way in and re-complements any reported witness values on the way out;
 positions pass through untouched.  It adds no storage of its own, so the
-inner detector's space telemetry is reported as-is.
+inner detector's space telemetry is reported as-is.  Validation happens once,
+on the adapter's own push, so errors name the value the caller pushed and the
+inner detector never allocates a second duplicate guard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class ComplementAdapter(Detector):
         self.bit_array_bits = inner.bit_array_bits
 
     def _step(self, value: int) -> bool:
-        if self.inner.push(self.n + 1 - value):
+        if self.inner._push_validated(self.n + 1 - value):
             return self._accept(self._map_occurrence(self.inner.occurrence))
         return False
 

@@ -8,9 +8,14 @@ returning True.
 Space is metered in *cells*: one cell per stored value, per stored point, and
 per stored pair.  ``peak_bits`` estimates the footprint as
 ``peak_cells * ceil(log2 n)`` plus the widths of any bit-arrays the detector
-keeps.  The duplicate-input guard (a bitmask used to reject malformed pushes
-with a clear error) is boundary validation rather than algorithm state, so it
-is deliberately excluded from the metering.
+keeps.  The duplicate-input guard (one byte per universe value, allocated on
+the first push and used to reject malformed pushes with a clear error) is
+boundary validation rather than algorithm state, so it is deliberately
+excluded from the metering.
+
+Detectors report their current footprint through :meth:`Detector._note_space`
+with positional sizes, one per name in ``structure_names``, so that metering
+every push allocates nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ class Detector:
 
     #: set by subclasses that keep bit-arrays (width in bits)
     bit_array_bits: int = 0
+    #: the structures ``_note_space`` sizes, in the order it takes them
+    structure_names: tuple[str, ...] = ()
 
     def __init__(self, pattern: Pattern, n: int, mode: StreamMode) -> None:
         if n < 1:
@@ -53,9 +60,9 @@ class Detector:
         self.occurrence: Occurrence | None = None
         self.pushes = 0
         self.peak_cells = 0
-        self.structure_peaks: dict[str, int] = {}
+        self._size_peaks = [-1, -1]  # -1 until the first _note_space
         self._finished = False
-        self._seen_mask = 0
+        self._seen: bytearray | None = None
 
     # -- the push/finish state machine ----------------------------------
 
@@ -69,10 +76,17 @@ class Detector:
             raise ValueError(f"value {value} out of range [1, {self.n}]")
         if self.accepted:
             return True
-        bit = 1 << value
-        if self._seen_mask & bit:
+        seen = self._seen
+        if seen is None:
+            seen = self._seen = bytearray(self.n + 1)
+        if seen[value]:
             raise ValueError(f"duplicate value {value}")
-        self._seen_mask |= bit
+        seen[value] = 1
+        self.pushes += 1
+        return self._step(value)
+
+    def _push_validated(self, value: int) -> bool:
+        """Feed one value a wrapping detector has already validated."""
         self.pushes += 1
         return self._step(value)
 
@@ -96,8 +110,17 @@ class Detector:
             occurrence=self.occurrence,
             peak_cells=self.peak_cells,
             peak_bits=self.peak_cells * bits_per_cell(self.n) + self.bit_array_bits,
-            structure_peaks=dict(self.structure_peaks),
+            structure_peaks=self.structure_peaks,
         )
+
+    @property
+    def structure_peaks(self) -> dict[str, int]:
+        """Peak size per structure, empty until the first ``_note_space``."""
+        return {
+            name: size
+            for name, size in zip(self.structure_names, self._size_peaks)
+            if size >= 0
+        }
 
     # -- hooks for subclasses -------------------------------------------
 
@@ -115,9 +138,16 @@ class Detector:
         self.occurrence = occurrence
         return True
 
-    def _note_space(self, cells: int, **structures: int) -> None:
+    def _note_space(self, cells: int, first: int = -1, second: int = -1) -> None:
+        """Raise the peaks to ``cells`` and to the sizes of ``structure_names``.
+
+        The sizes are positional, at most two (no detector keeps more
+        structures), so that metering every push allocates nothing.
+        """
         if cells > self.peak_cells:
             self.peak_cells = cells
-        for name, size in structures.items():
-            if size > self.structure_peaks.get(name, -1):
-                self.structure_peaks[name] = size
+        peaks = self._size_peaks
+        if first > peaks[0]:
+            peaks[0] = first
+        if second > peaks[1]:
+            peaks[1] = second

@@ -18,13 +18,15 @@ from .base import Detector
 class BaselineDetector(Detector):
     """Buffer everything, decide at finish by exhaustive search."""
 
+    structure_names = ("buffer",)
+
     def __init__(self, pattern: Pattern, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         super().__init__(pattern, n, mode)
         self._buffer: list[int] = []
 
     def _step(self, value: int) -> bool:
         self._buffer.append(value)
-        self._note_space(len(self._buffer), buffer=len(self._buffer))
+        self._note_space(len(self._buffer), len(self._buffer))
         return False
 
     def _end_check(self) -> bool:

@@ -23,6 +23,8 @@ from .base import Detector
 class MonotoneDetector(Detector):
     """Accepts once the stream holds an increasing subsequence of length k."""
 
+    structure_names = ("x-array",)
+
     def __init__(self, k: int, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         if k < 1:
             raise ValueError(f"pattern length must be at least 1, got {k}")
@@ -31,7 +33,7 @@ class MonotoneDetector(Detector):
         super().__init__(pattern, n, mode)
         self.k = k
         self._x: list[int] = []
-        self._note_space(k, **{"x-array": k})
+        self._note_space(k, k)
 
     def _step(self, value: int) -> bool:
         i = bisect_left(self._x, value)

@@ -4,15 +4,25 @@ The detector keeps three things while scanning a permutation of [1..n]:
 
 * ``h`` -- the highest value read so far (with its position);
 * ``A`` -- exactly the values read that lie in the window (h-k, h], a set of
-  at most k values, logically a k-wide bit-array anchored at h;
+  at most k values, logically a k-wide bit-array anchored at h, kept as a
+  sorted list;
 * ``D`` -- decreasing pairs (a, b) with a - b >= k whose value intervals
-  [b, a] are pairwise disjoint, so at most ceil(n/k) of them fit in [1..n].
+  [b, a] are pairwise disjoint, so at most ceil(n/k) of them fit in [1..n];
+  they are kept sorted by ``b`` (and so also by ``a``).
 
 Each push runs four steps: report if the new value lands strictly inside a
 stored pair; grow the window when a new maximum arrives; inside the window,
 either report (using a value that is provably still unread -- a *future*
 witness) or record the value; below the window, replace any pairs the new
 value undercuts with the single wider pair (h, value).
+
+Because the intervals of ``D`` are disjoint, the only pair that can hold a
+value v strictly inside is the one with the largest ``b`` below v, so step
+(1) is one bisect.  Step (3) counts instead of scanning: some value in
+(v, h) is unread exactly when ``A`` holds fewer than h - v values above v;
+the witness itself is looked up only when the detector reports.  Step (4)
+drops the pairs above v, which form a suffix of ``D``.  A push thus costs
+O(log n) comparisons plus at most an O(k) list shift.
 
 With k ~ sqrt(n log2 n) both structures stay within O(sqrt(n log2 n)) bits.
 The permutation promise is essential: future witnesses count on every
@@ -22,6 +32,7 @@ unread window value eventually arriving.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 
 from ..core import Occurrence, StreamMode, classify_pattern
 from .base import Detector
@@ -35,6 +46,8 @@ def default_window(n: int) -> int:
 class Detector312(Detector):
     """Streaming detector for the pattern 312 on permutation streams."""
 
+    structure_names = ("A", "D")
+
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION, k: int | None = None) -> None:
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector312 requires a permutation stream")
@@ -47,9 +60,11 @@ class Detector312(Detector):
         self.bit_array_bits = k
         self._h = 0
         self._h_pos = 0
-        self._window: set[int] = set()
-        # pair entries (a, b, position of a, position of b)
+        self._window: list[int] = []  # sorted
+        # pair entries (a, b, position of a, position of b), sorted by b,
+        # with the b values mirrored in _pair_lows for bisecting
         self._pairs: list[tuple[int, int, int, int]] = []
+        self._pair_lows: list[int] = []
 
     # read-only views for the invariant checker and tests
     @property
@@ -66,56 +81,64 @@ class Detector312(Detector):
 
     def _step(self, v: int) -> bool:
         pos = self.pushes
-        if self.pushes == 1:
+        window = self._window
+        if pos == 1:
             self._h = v
             self._h_pos = pos
-            self._window.add(v)
+            window.append(v)
             self._meter()
             return False
 
-        # (1) v strictly inside a stored pair completes it.
-        for a, b, pa, pb in self._pairs:
-            if a > v > b:
+        # (1) v strictly inside a stored pair completes it; only the pair
+        # with the largest b below v can hold it.
+        lows = self._pair_lows
+        i = bisect_left(lows, v)
+        if i:
+            a, b, pa, pb = self._pairs[i - 1]
+            if a > v:
                 return self._accept(
                     Occurrence(positions=(pa, pb, pos), values=(a, b, v))
                 )
 
-        if v > self._h:
+        h = self._h
+        if v > h:
             # (2) new maximum: slide the window up to (v-k, v].
-            cut = v - self.k
-            self._window = {x for x in self._window if x > cut}
-            self._window.add(v)
+            del window[: bisect_right(window, v - self.k)]
+            window.append(v)
             self._h = v
             self._h_pos = pos
-        elif v > self._h - self.k:
+        elif v > h - self.k:
             # (3) v lands in the window.  Any window value still missing
             # above v must arrive later and completes (h, v, missing).
-            c = self._largest_missing_above(v)
-            if c is not None:
+            if len(window) - bisect_right(window, v) < h - v:
+                c = self._largest_missing_below_h()
                 return self._accept(
-                    Occurrence(positions=(self._h_pos, pos, None), values=(self._h, v, c))
+                    Occurrence(positions=(self._h_pos, pos, None), values=(h, v, c))
                 )
-            self._window.add(v)
+            insort(window, v)
         else:
-            # (4) v undercuts the window: merge any pairs it is below into
-            # the single wider pair (h, v).
-            self._pairs = [entry for entry in self._pairs if entry[1] < v]
-            self._pairs.append((self._h, v, self._h_pos, pos))
+            # (4) v undercuts the window: merge any pairs it is below (the
+            # suffix of D from i on) into the single wider pair (h, v).
+            del self._pairs[i:]
+            del lows[i:]
+            self._pairs.append((h, v, self._h_pos, pos))
+            lows.append(v)
 
         self._meter()
         return False
 
-    def _largest_missing_above(self, v: int) -> int | None:
-        for cand in range(self._h - 1, v, -1):
-            if cand not in self._window:
-                return cand
-        return None
+    def _largest_missing_below_h(self) -> int:
+        """The largest value below h not in the window (one is known to exist)."""
+        window = self._window
+        cand = self._h - 1
+        idx = len(window) - 2  # window[-1] is h
+        while idx >= 0 and window[idx] == cand:
+            idx -= 1
+            cand -= 1
+        return cand
 
     def _meter(self) -> None:
         # h with its position is one stored point; the running index is one
         # value; each pair entry keeps a value pair and a position pair.
-        self._note_space(
-            2 + 2 * len(self._pairs),
-            A=len(self._window),
-            D=len(self._pairs),
-        )
+        pairs = len(self._pairs)
+        self._note_space(2 + 2 * pairs, len(self._window), pairs)

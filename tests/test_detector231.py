@@ -13,7 +13,7 @@ from permstream import (
     new_detector,
     parse_pattern,
 )
-from permstream.streaming.strips231 import contains_213
+from permstream.streaming.strips231 import contains_213, widest_gap_hull
 from conftest import perm_instance, random_perm
 
 P231 = parse_pattern("231")
@@ -38,6 +38,70 @@ def test_contains_213_scan():
     for tau in permutations(range(1, 6)):
         want = contains_bruteforce(perm_instance(tau), parse_pattern("213")) is not None
         assert contains_213(list(tau)) == want, tau
+
+
+def contains_213_quadratic(seq):
+    """O(s^2) reference: some earlier a and later c > a around a lower b."""
+    for i, a in enumerate(seq):
+        lowest_between = math.inf
+        for c in seq[i + 1 :]:
+            if c > a and lowest_between < a:
+                return True
+            lowest_between = min(lowest_between, c)
+    return False
+
+
+def gap_hull_quadratic(seq):
+    """O(s^2) reference hull of the increasing pairs with an outside value between."""
+    inside = set(seq)
+    top = max(seq, default=0)
+    # outside_upto[x] = values in [1..x] that are not in seq
+    outside_upto = [0] * (top + 1)
+    for x in range(1, top + 1):
+        outside_upto[x] = outside_upto[x - 1] + (x not in inside)
+    lows, highs = [], []
+    for i, a in enumerate(seq):
+        for b in seq[i + 1 :]:
+            if a < b and outside_upto[b - 1] - outside_upto[a] > 0:
+                lows.append(a)
+                highs.append(b)
+    return (min(lows), max(highs)) if lows else None
+
+
+def avoider_231(n, rng):
+    """A random 231-avoider: alpha, n, beta with alpha below beta, recursively."""
+    if n == 0:
+        return []
+    k = rng.randrange(n)
+    return avoider_231(k, rng) + [n] + [x + k for x in avoider_231(n - 1 - k, rng)]
+
+
+def scanned_sequences():
+    """All sequences of distinct values from [1..7] up to length 7, then seeded length-150 ones."""
+    for length in range(8):
+        yield from (list(seq) for seq in permutations(range(1, 8), length))
+    rng = random.Random(44)
+    for _ in range(8):
+        values = sorted(rng.sample(range(1, 301), 150))
+        avoider = [values[150 - x] for x in avoider_231(150, rng)]  # a 213-avoider
+        near = list(avoider)
+        i = rng.randrange(100, 149)
+        near[i], near[i + 1] = near[i + 1], near[i]
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        yield from (avoider, near, shuffled)
+
+
+def test_contains_213_and_gap_hull_match_quadratic_references():
+    found = hulls = 0
+    for seq in scanned_sequences():
+        want = contains_213_quadratic(seq)
+        assert contains_213(seq) == want, seq
+        hull = gap_hull_quadratic(seq)
+        assert widest_gap_hull(seq, sorted(seq)) == hull, seq
+        found += want
+        hulls += hull is not None
+    assert found and hulls  # both outcomes occur
 
 
 # -- hand-traced runs -----------------------------------------------------------------
@@ -126,6 +190,147 @@ def test_verdict_only_reporting():
                 break
         rep = det.finish()
         assert rep.occurrence is None
+
+
+# -- strip records against the whole stream ----------------------------------------
+
+
+def reference_run(values, n):
+    """Replay the strip design from the whole stream, sharing no detector code.
+
+    Returns the push that accepts (None when the run reaches finish), the
+    final record fields per closed 213-free strip, and the expected
+    ``peak_cells`` and ``structure_peaks``.
+    """
+    s = max(1, math.isqrt(n))
+    ws = [n + 1 - v for v in values]  # complement space: 231 becomes 213
+    strips = [ws[i : i + s] for i in range(0, len(ws), s)]
+    records = []
+    for start in range(0, len(ws), s):
+        strip = ws[start : start + s]
+        hull = gap_hull_quadratic(strip)
+        low = min(strip)
+        low_at = ws.index(low)
+        above = [w for w in ws[low_at + 1 :] if w > low]
+        records.append(
+            {
+                "gap_lo": hull[0] if hull else None,
+                "gap_hi": hull[1] if hull else None,
+                "seen": sum(hull[0] < w < hull[1] for w in ws[start:]) if hull else 0,
+                "low": low,
+                "high_after": max(above, default=None),
+                "seen_above": len(above),
+                # the push after which high_after is known; None if never
+                "flip": next((t for t in range(low_at + 2, len(ws) + 1) if ws[t - 1] > low), None),
+            }
+        )
+
+    def starts_descent(strip, i):
+        return any(w < strip[i] for w in strip[i + 1 :])
+
+    accept = None
+    low_starter = n + 1
+    for t, w in enumerate(ws, start=1):
+        if w > low_starter:
+            accept = t
+            break
+        if t % s == 0:
+            strip = strips[t // s - 1]
+            if contains_213_quadratic(strip):
+                accept = t
+                break
+            starters = [x for i, x in enumerate(strip) if starts_descent(strip, i)]
+            low_starter = min([low_starter, *starters])
+
+    def cells_after(t, buffered, closed):
+        total = 1 + buffered
+        for rec in records[:closed]:
+            total += (3 if rec["gap_lo"] is not None else 0) + 2
+            total += rec["high_after"] is not None and rec["flip"] <= t
+        return total
+
+    metered = []  # (cells, buffer, strips) after every non-accepting push
+    for t in range(1, (accept or len(ws) + 1)):
+        closed = t // s
+        buffered = t - closed * s
+        metered.append((cells_after(t, buffered, closed), buffered, closed))
+    if accept is None and len(ws) % s and not contains_213_quadratic(strips[-1]):
+        metered.append((cells_after(len(ws), 0, len(strips)), 0, len(strips)))
+    peaks = {"buffer": max(m[1] for m in metered), "strips": max(m[2] for m in metered)}
+    return accept, records, max(m[0] for m in metered), peaks
+
+
+def check_against_reference(values):
+    n = len(values)
+    det = Detector231(n)
+    accepted = any(det.push(v) for v in values)
+    rep = det.finish()
+    accept, records, peak_cells, peaks = reference_run(values, n)
+    assert (det.pushes if accepted else None) == accept, values
+    assert rep.peak_cells == peak_cells, values
+    assert rep.structure_peaks == peaks, values
+    if accept is None:
+        fields = ("gap_lo", "gap_hi", "seen", "low", "high_after", "seen_above")
+        got = [{f: getattr(rec, f) for f in fields} for rec in det._records]
+        want = [{f: rec[f] for f in fields} for rec in records[: len(got)]]
+        assert got == want, values
+        assert len(got) >= len(records) - 1
+    return rep
+
+
+def test_records_match_whole_stream_counts_on_small_permutations():
+    finished = 0
+    for n in range(1, 9):
+        for tau in permutations(range(1, n + 1)):
+            rep = check_against_reference(tau)
+            assert rep.verdict == contains_213_quadratic([n + 1 - v for v in tau]), tau
+            finished += rep.verdict is False
+    assert finished > 1000
+
+
+def n400_streams():
+    rng = random.Random(45)
+    avoider = avoider_231(400, rng)
+    # swap the last rising neighbours a < b with a value between them, none
+    # of which arrives in a's strip or later: b, a then completes a 231 that
+    # only the end-of-stream counters can see
+    late_miss = list(avoider)
+    i = max(
+        i
+        for i in range(399)
+        if late_miss[i] + 1 < late_miss[i + 1]
+        and not any(late_miss[i] < x < late_miss[i + 1] for x in late_miss[i - i % 20 :])
+    )
+    late_miss[i], late_miss[i + 1] = late_miss[i + 1], late_miss[i]
+    return {
+        "increasing": list(range(1, 401)),
+        "decreasing": list(range(400, 0, -1)),
+        "random": list(random_perm(400, rng)),
+        "avoider": avoider,
+        "late_miss": late_miss,
+    }
+
+
+# (peak_cells, buffer peak, strips peak) pinned on the n = 400 streams
+N400_PEAKS = {
+    "increasing": (58, 19, 20),
+    "decreasing": (77, 19, 20),
+    "random": (20, 19, 0),
+    "avoider": (131, 19, 20),
+    "late_miss": (131, 19, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N400_PEAKS))
+def test_records_match_whole_stream_counts_at_n400(name):
+    values = n400_streams()[name]
+    rep = check_against_reference(values)
+    assert rep.verdict == contains_213_quadratic([401 - v for v in values])
+    if name == "late_miss":
+        assert rep.verdict and reference_run(values, 400)[0] is None  # found at finish
+    peaks = rep.structure_peaks
+    assert (rep.peak_cells, peaks["buffer"], peaks["strips"]) == N400_PEAKS[name]
+    assert list(peaks) == ["buffer", "strips"]
 
 
 # -- space ---------------------------------------------------------------------------

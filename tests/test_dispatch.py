@@ -99,6 +99,35 @@ def test_push_validation_errors():
         det.push("3")
 
 
+def test_guard_allocated_on_first_push_still_rejects_first_value():
+    for bad, match in ((0, "range"), (6, "range"), ("3", "ints")):
+        det = Detector312(5)
+        assert det._seen is None  # nothing allocated before the first push
+        with pytest.raises(ValueError, match=match):
+            det.push(bad)
+        assert not det.push(3)
+        with pytest.raises(ValueError, match="duplicate value 3"):
+            det.push(3)
+        assert det.pushes == 1
+
+
+@pytest.mark.parametrize("pattern", ["132", "213", "321"])
+def test_adapter_guard_names_the_pushed_value(pattern):
+    det = new_detector(parse_pattern(pattern), 5, PERM)
+    assert isinstance(det, ComplementAdapter)
+    with pytest.raises(ValueError, match=r"^value 0 out of range \[1, 5\]$"):
+        det.push(0)
+    with pytest.raises(ValueError, match=r"^value 6 out of range \[1, 5\]$"):
+        det.push(6)
+    assert not det.push(1)  # complemented to 5 inside
+    with pytest.raises(ValueError, match=r"^duplicate value 1$"):
+        det.push(1)
+    assert not det.push(5)  # 5 is new, though the inner detector saw 5 for the 1
+    # one guard, on the adapter: the inner detector is fed validated values
+    assert det.inner._seen is None
+    assert (det.pushes, det.inner.pushes) == (2, 2)
+
+
 def test_finish_is_terminal():
     det = MonotoneDetector(2, 3, SEQ)
     det.push(2)
