@@ -21,17 +21,17 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Pattern,
     PatternKind,
     StreamInstance,
     StreamMode,
+    StreamValidator,
     format_stream_text,
+    iter_stream_text,
     parse_pattern,
-    parse_stream_text,
-    stream_violation,
 )
 from .hardgen import (
     DisjInstance,
@@ -71,40 +71,52 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_stream(args: argparse.Namespace) -> StreamInstance:
+def _file_chunks(path: str) -> Iterator:
+    """:func:`iter_stream_text` over a file ('-' for stdin), errors as UsageError."""
+    try:
+        if path == "-":
+            yield from iter_stream_text(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield from iter_stream_text(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _stream_chunks(args: argparse.Namespace) -> Iterator:
+    """The stream's header ``(n, mode)``, then its values in lists."""
     if args.input and args.values:
         raise UsageError("give either --input or --values, not both")
     if args.input:
-        try:
-            if args.input == "-":
-                text = sys.stdin.read()
-            else:
-                with open(args.input, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
-        try:
-            return parse_stream_text(text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return _file_chunks(args.input)
     if args.values:
         if args.n is None:
             raise UsageError("--values needs --n to fix the universe size")
         try:
-            elements = tuple(int(v) for v in args.values.split(","))
+            values = [int(v) for v in args.values.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad --values: {exc}") from exc
-        mode = StreamMode.from_token(args.mode)
-        return StreamInstance(n=args.n, mode=mode, elements=elements)
+        return iter([(args.n, StreamMode.from_token(args.mode)), values])
     raise UsageError("a stream is required: --input FILE or --values CSV --n N")
 
 
-def _checked_stream(args: argparse.Namespace) -> StreamInstance:
-    inst = _load_stream(args)
-    reason = stream_violation(inst)
+def _require_valid(check: StreamValidator) -> None:
+    reason = check.violation()
     if reason is not None:
         raise UsageError(f"invalid stream: {reason}")
-    return inst
+
+
+def _checked_stream(chunks: Iterator) -> StreamInstance:
+    n, mode = next(chunks)
+    check = StreamValidator(n, mode)
+    elements: list[int] = []
+    for values in chunks:
+        check.feed(values)
+        elements += values
+    _require_valid(check)
+    return StreamInstance(n=n, mode=mode, elements=tuple(elements))
 
 
 def _parse_pattern_arg(text: str) -> Pattern:
@@ -114,32 +126,32 @@ def _parse_pattern_arg(text: str) -> Pattern:
         raise UsageError(str(exc)) from exc
 
 
-def _forced_detector(name: str, pattern: Pattern, inst: StreamInstance) -> Detector:
+def _forced_detector(name: str, pattern: Pattern, n: int, mode: StreamMode) -> Detector:
     values = pattern.values
     if name == "monotone":
         if pattern.kind is PatternKind.INCREASING:
-            return MonotoneDetector(len(pattern), inst.n, inst.mode)
+            return MonotoneDetector(len(pattern), n, mode)
         if pattern.kind is PatternKind.DECREASING:
-            return ComplementAdapter(MonotoneDetector(len(pattern), inst.n, inst.mode))
+            return ComplementAdapter(MonotoneDetector(len(pattern), n, mode))
         raise UsageError(f"--detector monotone cannot serve the pattern {pattern}")
     if name == "312":
-        if inst.mode is not StreamMode.PERMUTATION:
+        if mode is not StreamMode.PERMUTATION:
             raise UsageError("--detector 312 needs a permutation stream (mode=perm)")
         if values == (3, 1, 2):
-            return Detector312(inst.n, inst.mode)
+            return Detector312(n, mode)
         if values == (1, 3, 2):
-            return ComplementAdapter(Detector312(inst.n, inst.mode))
+            return ComplementAdapter(Detector312(n, mode))
         raise UsageError("--detector 312 serves only the patterns 312 and 132")
     if name == "231":
-        if inst.mode is not StreamMode.PERMUTATION:
+        if mode is not StreamMode.PERMUTATION:
             raise UsageError("--detector 231 needs a permutation stream (mode=perm)")
         if values == (2, 3, 1):
-            return Detector231(inst.n, inst.mode)
+            return Detector231(n, mode)
         if values == (2, 1, 3):
-            return ComplementAdapter(Detector231(inst.n, inst.mode))
+            return ComplementAdapter(Detector231(n, mode))
         raise UsageError("--detector 231 serves only the patterns 231 and 213")
     assert name == "baseline"
-    return BaselineDetector(pattern, inst.n, inst.mode)
+    return BaselineDetector(pattern, n, mode)
 
 
 def _occurrence_json(occ) -> dict | None:
@@ -167,34 +179,64 @@ def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    pattern = _parse_pattern_arg(args.pattern)
-    inst = _checked_stream(args)
-    if args.detector == "auto":
-        detector = new_detector(pattern, inst.n, inst.mode)
-    else:
-        detector = _forced_detector(args.detector, pattern, inst)
+    """One pass over the stream in chunks: validate every value, push until accept.
 
+    Values are range- and duplicate-checked once, by the validator, so the
+    detector takes them through ``_push_validated``.  After the accept the
+    rest of the stream is still read and validated, and a malformed stream
+    fails as a whole: its error wins over an unusable ``--detector`` and
+    over the dispatch warning, which is shown only for a valid stream.
+    """
+    pattern = _parse_pattern_arg(args.pattern)
+    chunks = _stream_chunks(args)
+    n, mode = next(chunks)
+    check = StreamValidator(n, mode)
+    detector = unusable = None
+    with warnings.catch_warnings(record=True) as dispatch_warnings:
+        warnings.simplefilter("always")
+        try:
+            if n >= 1:  # else the validator reports n
+                if args.detector == "auto":
+                    detector = new_detector(pattern, n, mode)
+                else:
+                    detector = _forced_detector(args.detector, pattern, n, mode)
+        except UsageError as exc:
+            unusable = exc
+    push = detector._push_validated if detector is not None else None
+    kept: list[int] | None = [] if args.check else None
     accepted_at = None
-    for idx, value in enumerate(inst.elements, start=1):
-        if detector.push(value):
-            accepted_at = idx
-            break
+    for values in chunks:
+        check.feed(values)
+        if kept is not None:
+            kept += values
+        if push is not None and check.error is None:
+            for value in values:
+                if push(value):
+                    accepted_at = detector.pushes
+                    push = None
+                    break
+    _require_valid(check)
+    if unusable is not None:
+        raise unusable
+    for w in dispatch_warnings:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep = detector.finish()
 
     agree = None
     oracle_verdict = None
-    if args.check:
+    if kept is not None:
+        inst = StreamInstance(n=n, mode=mode, elements=tuple(kept))
         oracle_verdict = contains_bruteforce(inst, pattern) is not None
         agree = oracle_verdict == rep.verdict
 
     human = [
-        f"pattern {pattern} in stream of {len(inst.elements)} values (n={inst.n}, "
-        f"mode={inst.mode.value}): {'CONTAINED' if rep.verdict else 'AVOIDED'}",
+        f"pattern {pattern} in stream of {check.count} values (n={n}, "
+        f"mode={mode.value}): {'CONTAINED' if rep.verdict else 'AVOIDED'}",
         f"detector: {type(detector).__name__}, peak cells {rep.peak_cells}, "
         f"peak bits {rep.peak_bits}, structures {rep.structure_peaks}",
     ]
     if accepted_at is not None:
-        human.insert(1, f"accepted after reading {accepted_at} of {len(inst.elements)} values")
+        human.insert(1, f"accepted after reading {accepted_at} of {check.count} values")
     if rep.occurrence is not None:
         pos = ", ".join("future" if p is None else str(p) for p in rep.occurrence.positions)
         human.append(f"occurrence: values {rep.occurrence.values} at positions ({pos})")
@@ -206,9 +248,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         {
             "command": "detect",
             "pattern": str(pattern),
-            "n": inst.n,
-            "mode": inst.mode.value,
-            "stream_len": len(inst.elements),
+            "n": n,
+            "mode": mode.value,
+            "stream_len": check.count,
             "detector": type(detector).__name__,
             "verdict": rep.verdict,
             "accepted_after": accepted_at,
@@ -231,7 +273,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     pattern = _parse_pattern_arg(args.pattern)
-    inst = _checked_stream(args)
+    inst = _checked_stream(_stream_chunks(args))
     occ = contains_bruteforce(inst, pattern)
     payload: dict = {
         "command": "oracle",
@@ -334,16 +376,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.construction == "extend":
         if not args.input:
             raise UsageError("extend needs --input FILE")
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                source = parse_stream_text(fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        reason = stream_violation(source)
-        if reason is not None:
-            raise UsageError(f"invalid stream: {reason}")
+        source = _checked_stream(_file_chunks(args.input))
         out = extend_stream(source)
         text = format_stream_text(
             out, comments=[f"extend of {args.input} (n={source.n} -> {out.n})"]

@@ -30,8 +30,9 @@ as ``# segment alice 1 8``.
 from __future__ import annotations
 
 import enum
+import io
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 
 class StreamMode(enum.Enum):
@@ -151,25 +152,76 @@ class StreamInstance:
         return len(self.elements)
 
 
+class StreamValidator:
+    """Check a stream's promises incrementally, one chunk of values at a time.
+
+    :meth:`feed` takes ints in stream order and records the *first* range or
+    duplicate error with its 1-based position; it keeps counting after that.
+    :meth:`violation` then reports exactly what :func:`stream_violation` does,
+    in the same order: n < 1, the permutation count, the first value error.
+    The duplicate guard is one byte per universe value.
+
+    >>> check = StreamValidator(4, StreamMode.PERMUTATION)
+    >>> check.feed([2, 4]); check.feed([2])
+    >>> check.violation()
+    'permutation mode requires exactly n=4 values, got 3'
+    >>> check.error
+    'duplicate value 2 at position 3'
+    """
+
+    def __init__(self, n: int, mode: StreamMode) -> None:
+        self.n = n
+        self.mode = mode
+        self.count = 0
+        self.error: str | None = None
+        # with n < 1 that error wins, so values need no checking
+        self._guard = bytearray(n + 1) if n >= 1 else None
+
+    def feed(self, values: Sequence[int]) -> None:
+        """Check the next ``values`` (a list or tuple of ints)."""
+        guard = self._guard
+        if guard is not None and self.error is None:
+            n = self.n
+            it = iter(values)
+            for value in it:
+                if 0 < value <= n and not guard[value]:
+                    guard[value] = 1
+                    continue
+                # the iterator's length hint counts the values still unread
+                pos = self.count + len(values) - it.__length_hint__()
+                if 0 < value <= n:
+                    self.error = f"duplicate value {value} at position {pos}"
+                else:
+                    self.error = f"value {value} out of range [1, {n}] at position {pos}"
+                break
+        self.count += len(values)
+
+    def violation(self) -> str | None:
+        """A human-readable reason the values fed so far are malformed, or None."""
+        if self.n < 1:
+            return f"universe size must be at least 1, got n={self.n}"
+        if self.mode is StreamMode.PERMUTATION and self.count != self.n:
+            return (
+                f"permutation mode requires exactly n={self.n} values, "
+                f"got {self.count}"
+            )
+        return self.error
+
+
 def stream_violation(inst: StreamInstance) -> str | None:
     """Return a human-readable reason the instance is malformed, or None."""
-    if inst.n < 1:
-        return f"universe size must be at least 1, got n={inst.n}"
-    if inst.mode is StreamMode.PERMUTATION and len(inst.elements) != inst.n:
-        return (
-            f"permutation mode requires exactly n={inst.n} values, "
-            f"got {len(inst.elements)}"
-        )
-    seen: set[int] = set()
-    for pos, value in enumerate(inst.elements, start=1):
+    check = StreamValidator(inst.n, inst.mode)
+    elements = inst.elements
+    for pos, value in enumerate(elements, start=1):
         if not isinstance(value, int) or isinstance(value, bool):
-            return f"non-integer value {value!r} at position {pos}"
-        if not 1 <= value <= inst.n:
-            return f"value {value} out of range [1, {inst.n}] at position {pos}"
-        if value in seen:
-            return f"duplicate value {value} at position {pos}"
-        seen.add(value)
-    return None
+            check.feed(elements[: pos - 1])
+            if check.error is None:
+                check.error = f"non-integer value {value!r} at position {pos}"
+            check.count = len(elements)
+            break
+    else:
+        check.feed(elements)
+    return check.violation()
 
 
 def validate_stream(inst: StreamInstance) -> bool:
@@ -295,38 +347,93 @@ def format_stream_text(
     return "\n".join(lines) + "\n"
 
 
-def parse_stream_text(text: str) -> StreamInstance:
-    """Parse the stream file format.  Raises ValueError on malformed input."""
-    header: str | None = None
-    tokens: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-        else:
-            tokens.extend(line.split())
-    if header is None:
-        raise ValueError("missing stream header line 'n=<int> mode=<perm|seq>'")
-    parts = header.split()
+#: characters read per chunk by :func:`iter_stream_text`
+READ_CHARS = 1 << 16
+
+
+def _parse_header(line: str) -> tuple[int, StreamMode]:
+    parts = line.split()
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("mode="):
-        raise ValueError(f"malformed header {header!r} (expected 'n=<int> mode=<perm|seq>')")
+        raise ValueError(f"malformed header {line!r} (expected 'n=<int> mode=<perm|seq>')")
     try:
         n = int(parts[0][2:])
     except ValueError:
-        raise ValueError(f"malformed universe size in header {header!r}") from None
-    mode = StreamMode.from_token(parts[1][5:])
-    try:
-        elements = tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise ValueError(f"non-integer stream value: {exc}") from None
-    return StreamInstance(n=n, mode=mode, elements=elements)
+        raise ValueError(f"malformed universe size in header {line!r}") from None
+    return n, StreamMode.from_token(parts[1][5:])
+
+
+def iter_stream_text(fh: TextIO, chunk_chars: int = READ_CHARS) -> Iterator:
+    """Tokenize the stream file format from ``fh``, reading it in bounded chunks.
+
+    Yields the header as ``(n, mode)`` first, then the stream values as
+    non-empty lists of ints, at most one list per chunk read.  The text after
+    a chunk's last ``"\\n"`` is carried over to the next chunk.  Lines split
+    as :meth:`str.splitlines` splits them, so ``\\r``, ``\\f``, ``\\u2028``
+    and the other boundaries it knows end a line (and may start a comment)
+    too.  Raises ValueError on a missing or malformed header and on a
+    non-integer value, once the tokenizer reaches it.  Nothing is validated:
+    see :class:`StreamValidator`.
+
+    >>> chunks = iter_stream_text(io.StringIO("# demo\\nn=3 mode=perm\\n3 1\\n2\\n"))
+    >>> next(chunks)
+    (3, <StreamMode.PERMUTATION: 'perm'>)
+    >>> list(chunks)
+    [[3, 1, 2]]
+    """
+    header = None
+    pending: list[str] = []  # the text read since the last "\n"
+    while True:
+        chunk = fh.read(chunk_chars)
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        text = "".join(pending)
+        pending = [chunk[cut:]]
+        if header is not None and "#" not in text:
+            words = text.split()
+        else:
+            words = []
+            for line in text.splitlines():
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if header is None:
+                    header = _parse_header(line)
+                    yield header
+                else:
+                    words.extend(line.split())
+        try:
+            values = list(map(int, words))
+        except ValueError as exc:
+            raise ValueError(f"non-integer stream value: {exc}") from None
+        del text, words  # while the consumer runs, only the values stay alive
+        if values:
+            yield values
+        if not chunk:
+            break
+    if header is None:
+        raise ValueError("missing stream header line 'n=<int> mode=<perm|seq>'")
+
+
+def _collect_stream(fh: TextIO) -> StreamInstance:
+    chunks = iter_stream_text(fh)
+    n, mode = next(chunks)
+    elements: list[int] = []
+    for values in chunks:
+        elements += values
+    return StreamInstance(n=n, mode=mode, elements=tuple(elements))
+
+
+def parse_stream_text(text: str) -> StreamInstance:
+    """Parse the stream file format.  Raises ValueError on malformed input."""
+    return _collect_stream(io.StringIO(text))
 
 
 def read_stream_file(path: str) -> StreamInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_stream_text(fh.read())
+        return _collect_stream(fh)
 
 
 def write_stream_file(
