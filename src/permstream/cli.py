@@ -29,9 +29,11 @@ from .core import (
     StreamInstance,
     StreamMode,
     StreamValidator,
+    collect_stream,
     format_stream_text,
     iter_stream_text,
     parse_pattern,
+    stream_violation,
 )
 from .hardgen import (
     DisjInstance,
@@ -102,21 +104,15 @@ def _stream_chunks(args: argparse.Namespace) -> Iterator:
     raise UsageError("a stream is required: --input FILE or --values CSV --n N")
 
 
-def _require_valid(check: StreamValidator) -> None:
-    reason = check.violation()
+def _require_valid(reason: str | None) -> None:
     if reason is not None:
         raise UsageError(f"invalid stream: {reason}")
 
 
 def _checked_stream(chunks: Iterator) -> StreamInstance:
-    n, mode = next(chunks)
-    check = StreamValidator(n, mode)
-    elements: list[int] = []
-    for values in chunks:
-        check.feed(values)
-        elements += values
-    _require_valid(check)
-    return StreamInstance(n=n, mode=mode, elements=tuple(elements))
+    inst = collect_stream(chunks)
+    _require_valid(stream_violation(inst))
+    return inst
 
 
 def _parse_pattern_arg(text: str) -> Pattern:
@@ -215,7 +211,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
                     accepted_at = detector.pushes
                     push = None
                     break
-    _require_valid(check)
+    _require_valid(check.violation())
     if unusable is not None:
         raise unusable
     for w in dispatch_warnings:

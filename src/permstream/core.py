@@ -159,7 +159,9 @@ class StreamValidator:
     duplicate error with its 1-based position; it keeps counting after that.
     :meth:`violation` then reports exactly what :func:`stream_violation` does,
     in the same order: n < 1, the permutation count, the first value error.
-    The duplicate guard is one byte per universe value.
+    The duplicate guard holds one byte per value up to the largest in-range
+    value seen so far, so a header that overstates n costs nothing until
+    the values bear it out.
 
     >>> check = StreamValidator(4, StreamMode.PERMUTATION)
     >>> check.feed([2, 4]); check.feed([2])
@@ -174,17 +176,24 @@ class StreamValidator:
         self.mode = mode
         self.count = 0
         self.error: str | None = None
-        # with n < 1 that error wins, so values need no checking
-        self._guard = bytearray(n + 1) if n >= 1 else None
+        self._guard = bytearray(1)  # index 0 unused, so every guarded value is >= 1
 
     def feed(self, values: Sequence[int]) -> None:
         """Check the next ``values`` (a list or tuple of ints)."""
-        guard = self._guard
-        if guard is not None and self.error is None:
+        if self.error is None:
+            guard = self._guard
+            size = len(guard)
             n = self.n
             it = iter(values)
             for value in it:
-                if 0 < value <= n and not guard[value]:
+                if 0 < value < size and not guard[value]:
+                    guard[value] = 1
+                    continue
+                if size <= value <= n:
+                    # grow at least twofold, so growing costs O(1) per value
+                    grown = min(n + 1, max(value + 1, 2 * size))
+                    guard.extend(bytes(grown - size))
+                    size = grown
                     guard[value] = 1
                     continue
                 # the iterator's length hint counts the values still unread
@@ -194,6 +203,12 @@ class StreamValidator:
                 else:
                     self.error = f"value {value} out of range [1, {n}] at position {pos}"
                 break
+        self.count += len(values)
+
+    def feed_non_integer(self, values: Sequence) -> None:
+        """Count the rest of a stream whose next value, ``values[0]``, is not an int."""
+        if self.error is None:
+            self.error = f"non-integer value {values[0]!r} at position {self.count + 1}"
         self.count += len(values)
 
     def violation(self) -> str | None:
@@ -212,12 +227,10 @@ def stream_violation(inst: StreamInstance) -> str | None:
     """Return a human-readable reason the instance is malformed, or None."""
     check = StreamValidator(inst.n, inst.mode)
     elements = inst.elements
-    for pos, value in enumerate(elements, start=1):
+    for pos, value in enumerate(elements):
         if not isinstance(value, int) or isinstance(value, bool):
-            check.feed(elements[: pos - 1])
-            if check.error is None:
-                check.error = f"non-integer value {value!r} at position {pos}"
-            check.count = len(elements)
+            check.feed(elements[:pos])
+            check.feed_non_integer(elements[pos:])
             break
     else:
         check.feed(elements)
@@ -362,8 +375,8 @@ def _parse_header(line: str) -> tuple[int, StreamMode]:
     return n, StreamMode.from_token(parts[1][5:])
 
 
-def iter_stream_text(fh: TextIO, chunk_chars: int = READ_CHARS) -> Iterator:
-    """Tokenize the stream file format from ``fh``, reading it in bounded chunks.
+def iter_stream_text(fh: TextIO) -> Iterator:
+    """Tokenize the stream file format from ``fh``, :data:`READ_CHARS` at a time.
 
     Yields the header as ``(n, mode)`` first, then the stream values as
     non-empty lists of ints, at most one list per chunk read.  The text after
@@ -383,7 +396,7 @@ def iter_stream_text(fh: TextIO, chunk_chars: int = READ_CHARS) -> Iterator:
     header = None
     pending: list[str] = []  # the text read since the last "\n"
     while True:
-        chunk = fh.read(chunk_chars)
+        chunk = fh.read(READ_CHARS)
         cut = chunk.rfind("\n") + 1
         if chunk and not cut:
             pending.append(chunk)
@@ -417,8 +430,8 @@ def iter_stream_text(fh: TextIO, chunk_chars: int = READ_CHARS) -> Iterator:
         raise ValueError("missing stream header line 'n=<int> mode=<perm|seq>'")
 
 
-def _collect_stream(fh: TextIO) -> StreamInstance:
-    chunks = iter_stream_text(fh)
+def collect_stream(chunks: Iterator) -> StreamInstance:
+    """The instance that :func:`iter_stream_text`'s header and values describe."""
     n, mode = next(chunks)
     elements: list[int] = []
     for values in chunks:
@@ -428,12 +441,12 @@ def _collect_stream(fh: TextIO) -> StreamInstance:
 
 def parse_stream_text(text: str) -> StreamInstance:
     """Parse the stream file format.  Raises ValueError on malformed input."""
-    return _collect_stream(io.StringIO(text))
+    return collect_stream(iter_stream_text(io.StringIO(text)))
 
 
 def read_stream_file(path: str) -> StreamInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return _collect_stream(fh)
+        return collect_stream(iter_stream_text(fh))
 
 
 def write_stream_file(
