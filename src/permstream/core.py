@@ -152,6 +152,16 @@ class StreamInstance:
         return len(self.elements)
 
 
+def grow_guard(guard: bytearray, value: int, n: int) -> None:
+    """Extend a duplicate guard (one byte per value) to hold ``value`` <= n.
+
+    It grows at least twofold, so growing costs O(1) per value, and never
+    past n + 1 bytes, so its memory follows the largest value held.
+    """
+    size = len(guard)
+    guard.extend(bytes(min(n + 1, max(value + 1, 2 * size)) - size))
+
+
 class StreamValidator:
     """Check a stream's promises incrementally, one chunk of values at a time.
 
@@ -190,10 +200,8 @@ class StreamValidator:
                     guard[value] = 1
                     continue
                 if size <= value <= n:
-                    # grow at least twofold, so growing costs O(1) per value
-                    grown = min(n + 1, max(value + 1, 2 * size))
-                    guard.extend(bytes(grown - size))
-                    size = grown
+                    grow_guard(guard, value, n)
+                    size = len(guard)
                     guard[value] = 1
                     continue
                 # the iterator's length hint counts the values still unread
@@ -362,6 +370,8 @@ def format_stream_text(
 
 #: characters read per chunk by :func:`iter_stream_text`
 READ_CHARS = 1 << 16
+#: the line boundaries of :meth:`str.splitlines`
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _parse_header(line: str) -> tuple[int, StreamMode]:
@@ -379,8 +389,11 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     """Tokenize the stream file format from ``fh``, :data:`READ_CHARS` at a time.
 
     Yields the header as ``(n, mode)`` first, then the stream values as
-    non-empty lists of ints, at most one list per chunk read.  The text after
-    a chunk's last ``"\\n"`` is carried over to the next chunk.  Lines split
+    non-empty lists of ints, at most one list per chunk read.  Until the
+    header is read, and while the unread text holds a ``#``, the text after
+    a chunk's last ``"\\n"`` is carried over to the next chunk; otherwise
+    only the word the chunk ends in is, so a stream on one line is not held
+    whole.  Lines split
     as :meth:`str.splitlines` splits them, so ``\\r``, ``\\f``, ``\\u2028``
     and the other boundaries it knows end a line (and may start a comment)
     too.  Raises ValueError on a missing or malformed header and on a
@@ -394,21 +407,34 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     [[3, 1, 2]]
     """
     header = None
-    pending: list[str] = []  # the text read since the last "\n"
+    pending: list[str] = []  # the text read since the last cut
+    hashed = False  # whether pending holds a "#"
+    mid_line = False  # pending continues a value line whose first words were yielded
     while True:
         chunk = fh.read(READ_CHARS)
-        cut = chunk.rfind("\n") + 1
+        hashed = hashed or "#" in chunk
+        if header is None or hashed:
+            cut = chunk.rfind("\n") + 1  # a comment may start: cut at a line end
+        else:
+            cut = len(chunk)  # every word is a value: cut after a whitespace
+            while cut and not chunk[cut - 1].isspace():
+                cut -= 1
         if chunk and not cut:
             pending.append(chunk)
             continue
         pending.append(chunk[:cut])
         text = "".join(pending)
         pending = [chunk[cut:]]
+        hashed = "#" in pending[0]
         if header is not None and "#" not in text:
             words = text.split()
         else:
             words = []
             for line in text.splitlines():
+                if mid_line:  # the rest of a value line, even if it holds "#"
+                    mid_line = False
+                    words.extend(line.split())
+                    continue
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -417,6 +443,12 @@ def iter_stream_text(fh: TextIO) -> Iterator:
                     yield header
                 else:
                     words.extend(line.split())
+        # past the text's trailing blanks: a word leaves its line open
+        end = len(text)
+        while end and text[end - 1].isspace() and text[end - 1] not in _LINE_BREAKS:
+            end -= 1
+        if end:
+            mid_line = text[end - 1] not in _LINE_BREAKS
         try:
             values = list(map(int, words))
         except ValueError as exc:

@@ -2,7 +2,8 @@
 
 Everything here favours obvious correctness over speed.  The detectors in
 :mod:`permstream.streaming` are validated against these functions, so they
-deliberately share no code with them.  Desk-scale inputs (n up to a few
+deliberately share no code with them (``tests/test_baseline.py`` checks
+that no detector module imports this one).  Desk-scale inputs (n up to a few
 hundred for containment, smaller for exact counting) are the intended range.
 """
 

@@ -8,10 +8,11 @@ returning True.
 Space is metered in *cells*: one cell per stored value, per stored point, and
 per stored pair.  ``peak_bits`` estimates the footprint as
 ``peak_cells * ceil(log2 n)`` plus the widths of any bit-arrays the detector
-keeps.  The duplicate-input guard (one byte per universe value, allocated on
-the first push and used to reject malformed pushes with a clear error) is
-boundary validation rather than algorithm state, so it is deliberately
-excluded from the metering.
+keeps.  The duplicate-input guard (one byte per value up to the largest
+value pushed so far, allocated on the first push and used to reject
+malformed pushes with a clear error) is boundary validation rather than
+algorithm state, so it is deliberately excluded from the metering.  It is
+never sized from n, which may be far beyond memory in ``seq`` mode.
 
 Detectors report their current footprint through :meth:`Detector._note_space`
 with positional sizes, one per name in ``structure_names``, so that metering
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core import Occurrence, Pattern, StreamMode
+from ..core import Occurrence, Pattern, StreamMode, grow_guard
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,10 @@ class Detector:
             return True
         seen = self._seen
         if seen is None:
-            seen = self._seen = bytearray(self.n + 1)
-        if seen[value]:
+            seen = self._seen = bytearray(1)  # index 0 unused
+        if value >= len(seen):
+            grow_guard(seen, value, self.n)
+        elif seen[value]:
             raise ValueError(f"duplicate value {value}")
         seen[value] = 1
         self.pushes += 1

@@ -1,0 +1,198 @@
+"""The full-storage baseline against the brute-force oracle.
+
+The baseline decides containment with its own sweep matcher
+(`permstream.streaming.baseline.first_occurrence`); these tests compare its
+verdict and its occurrence, which must be the position-lexicographically
+first one, with `contains_bruteforce`, and pin the space telemetry the
+baseline reports.  The last test checks that no detector module imports
+the oracle, so that these comparisons can fail.
+"""
+
+from __future__ import annotations
+
+import ast
+import random
+from itertools import permutations
+from pathlib import Path
+
+import pytest
+
+from permstream import (
+    BaselineDetector,
+    StreamInstance,
+    bits_per_cell,
+    classify_pattern,
+    contains_bruteforce,
+    occurrence_is_valid,
+    parse_pattern,
+    run_detector,
+)
+from permstream.hardgen import (
+    extend_stream,
+    gen_3142_2143,
+    gen_4312,
+    gen_monotone_lb,
+    gen_pi4_front,
+    gen_seq312,
+)
+from permstream import streaming
+from permstream.streaming.baseline import first_occurrence
+from conftest import all_patterns, perm_instance, random_perm, seq_instance
+
+
+def run_baseline(inst: StreamInstance, pattern):
+    det = BaselineDetector(pattern, inst.n, inst.mode)
+    return run_detector(inst, pattern, det)
+
+
+def assert_matches_oracle(inst: StreamInstance, pattern) -> bool:
+    """The baseline's report equals the oracle's answer; returns the verdict."""
+    report = run_baseline(inst, pattern)
+    want = contains_bruteforce(inst, pattern)
+    assert report.verdict == (want is not None), (inst.elements, pattern.values)
+    assert report.occurrence == want, (inst.elements, pattern.values)
+    # the buffer holds every value: the telemetry is the stream's length
+    m = len(inst.elements)
+    assert report.peak_cells == m
+    assert report.peak_bits == m * bits_per_cell(inst.n)
+    assert report.structure_peaks == ({"buffer": m} if m else {})
+    return report.verdict
+
+
+def assert_matcher_matches_oracle(inst: StreamInstance, patterns) -> None:
+    """The baseline's matcher finds the oracle's occurrence of each pattern."""
+    for pattern in patterns:
+        found = first_occurrence(inst.elements, pattern.values)
+        want = contains_bruteforce(inst, pattern)
+        assert found == (None if want is None else tuple(p - 1 for p in want.positions)), (
+            inst.elements, pattern.values,
+        )
+
+
+def test_every_permutation_up_to_7_and_pattern_up_to_4():
+    # the matcher alone keeps this short; the detector around it is run below
+    patterns = all_patterns(1, 2, 3, 4)
+    for n in range(1, 8):
+        for tau in permutations(range(1, n + 1)):
+            assert_matcher_matches_oracle(perm_instance(tau), patterns)
+
+
+def test_every_permutation_up_to_6_and_pattern_of_length_5():
+    patterns = all_patterns(5)
+    for n in range(1, 7):
+        for tau in permutations(range(1, n + 1)):
+            assert_matcher_matches_oracle(perm_instance(tau), patterns)
+
+
+def test_every_permutation_up_to_5_through_the_detector():
+    patterns = all_patterns(1, 2, 3, 4, 5)
+    for n in range(1, 6):
+        for tau in permutations(range(1, n + 1)):
+            for pattern in patterns:
+                assert_matches_oracle(perm_instance(tau), pattern)
+
+
+def test_seeded_sequences_including_ones_shorter_than_the_pattern():
+    rng = random.Random(71)
+    patterns = [parse_pattern(p) for p in ("312", "231", "132", "4231", "2413", "3142", "14253")]
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(1, 60)
+        values = rng.sample(range(1, n + 1), rng.randint(0, min(n, 14)))
+        inst = seq_instance(tuple(values), n)
+        for pattern in patterns:
+            verdicts.add(assert_matches_oracle(inst, pattern))
+    assert verdicts == {True, False}
+
+
+def test_random_permutations_with_longer_patterns():
+    rng = random.Random(72)
+    patterns = all_patterns(4) + [parse_pattern(p) for p in ("25314", "41352", "135246")]
+    for n in (12, 30, 45):
+        for _ in range(3):
+            inst = perm_instance(random_perm(n, rng))
+            for pattern in patterns:
+                assert_matches_oracle(inst, pattern)
+
+
+# -- every hardgen construction, intersecting and disjoint --------------------------
+
+
+def construction_instances(n_sets: int):
+    """(name, instance, pattern, contains) of each construction, both forms."""
+    odd, even = set(range(1, n_sets + 1, 2)), set(range(2, n_sets + 1, 2))
+    for s, t in ((odd, even | {3}), (odd, even)):
+        yield "seq312", gen_seq312(n_sets, s, t)
+        for front in ("4231", "4213", "4132", "4123"):
+            yield f"front4:{front}", gen_pi4_front(parse_pattern(front), n_sets, s, t)
+        yield "4312", gen_4312(n_sets, s, t)
+        for name in ("3142", "2143"):
+            yield name, gen_3142_2143(parse_pattern(name), n_sets, s, t)
+
+
+@pytest.mark.parametrize("n_sets", [4, 8])
+def test_hardgen_constructions_match_the_oracle(n_sets):
+    seen = set()
+    for name, disj in construction_instances(n_sets):
+        verdict = assert_matches_oracle(disj.stream, disj.pattern)
+        assert verdict == disj.intersecting, name
+        seen.add((name, verdict))
+    assert len(seen) == 2 * 8  # each construction in both forms
+
+
+def test_hardgen_constructions_beyond_the_oracle():
+    # too long for the oracle when disjoint: the known answer decides
+    for name, disj in construction_instances(60):
+        report = run_baseline(disj.stream, disj.pattern)
+        assert report.verdict == disj.intersecting, name
+        if report.verdict:
+            assert occurrence_is_valid(disj.stream, disj.pattern, report.occurrence)
+        assert report.peak_cells == len(disj.stream.elements)
+
+
+def test_monotone_lower_bound_pair_matches_the_oracle():
+    for k, n, rho, sigma in ((4, 12, (1, 3), (1, 7)), (6, 20, (1, 5, 7, 13), (1, 5, 9, 11))):
+        pattern = classify_pattern(range(1, k + 1))
+        accepting, rejecting = gen_monotone_lb(k, n, rho, sigma)
+        assert assert_matches_oracle(accepting, pattern)
+        assert not assert_matches_oracle(rejecting, pattern)
+        prefix = gen_monotone_lb(k, n, rho)
+        assert_matches_oracle(prefix, pattern)
+
+
+def test_extended_streams_match_the_oracle():
+    # extend_stream(tau) contains p with a new minimum appended exactly when
+    # tau contains p
+    rng = random.Random(73)
+    for base in ("21", "12", "312", "231", "2413"):
+        pattern = parse_pattern(base)
+        extended = classify_pattern(tuple(v + 1 for v in pattern.values) + (1,))
+        for _ in range(6):
+            tau = random_perm(rng.randint(2, 9), rng)
+            want = contains_bruteforce(perm_instance(tau), pattern) is not None
+            assert assert_matches_oracle(extend_stream(perm_instance(tau)), extended) == want
+
+
+# -- independence from the oracle -----------------------------------------------------
+
+
+def test_streaming_modules_import_nothing_from_the_oracle():
+    package = ["permstream", "streaming"]
+    modules = sorted(Path(streaming.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                # "from ..oracle import x" and "from .. import oracle" alike
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not (name == "permstream.oracle" or name.startswith("permstream.oracle.")), (
+                    f"{path.name} imports {name}"
+                )

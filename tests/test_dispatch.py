@@ -11,6 +11,7 @@ from permstream import (
     Detector231,
     Detector312,
     MonotoneDetector,
+    PatternKind,
     StreamMode,
     TrivialRejectDetector,
     classify_pattern,
@@ -127,6 +128,29 @@ def test_adapter_guard_names_the_pushed_value(pattern):
     assert det.inner._seen is None
     assert (det.pushes, det.inner.pushes) == (2, 2)
 
+
+
+@pytest.mark.parametrize("n", [10**15, 10**20])
+@pytest.mark.parametrize("pattern", ["12", "321", "312", "4231"])
+def test_guard_follows_the_values_not_n(n, pattern):
+    # a seq stream may be short over a huge universe: neither n = 10^15 (too
+    # much memory) nor n = 10^20 (past an index) may size the guard
+    pat = parse_pattern(pattern)
+    inst = seq_instance((3, 1, 2), n)
+    want = contains_bruteforce(inst, pat)
+    monotone = pat.kind in (PatternKind.INCREASING, PatternKind.DECREASING)
+    det = new_detector(pat, n, SEQ) if monotone else BaselineDetector(pat, n, SEQ)
+    report = run_detector(inst, pat, det)
+    assert report.verdict == (want is not None)
+    if not monotone:
+        assert report.occurrence == want
+    assert len(det._seen) <= 8
+    det = new_detector(pat, n, SEQ) if monotone else BaselineDetector(pat, n, SEQ)
+    with pytest.raises(ValueError, match=rf"^value {n + 1} out of range \[1, {n}\]$"):
+        det.push(n + 1)
+    det.push(3)
+    with pytest.raises(ValueError, match="^duplicate value 3$"):
+        det.push(3)
 
 def test_finish_is_terminal():
     det = MonotoneDetector(2, 3, SEQ)

@@ -136,6 +136,23 @@ def test_tokenizer_matches_the_reference_parser_at_every_chunk_size(monkeypatch)
         monkeypatch.undo()
 
 
+
+def test_tokenizer_matches_the_reference_after_the_header(monkeypatch):
+    # after the header a chunk may be cut after any blank, so "#" must still
+    # start a comment only at the start of a line, and must end the words of
+    # a line whose first words were already yielded with the non-integer error
+    rng = random.Random(13)
+    values = ("1", "2", "3", "17", "40", "#", "#7", "x")
+    blanks = (" ", "  ", "\t", "\x1f", " \t ")
+    for _ in range(3000):
+        text = "n=50 mode=seq" + rng.choice(LINE_BREAKS) + "".join(
+            rng.choice(values) + rng.choice(blanks + LINE_BREAKS) for _ in range(rng.randint(0, 16))
+        )
+        want = outcome(reference_parse, text)
+        monkeypatch.setattr(core, "READ_CHARS", rng.randint(1, 8))
+        assert outcome(chunked_parse, text) == want, repr(text)
+        monkeypatch.undo()
+
 @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
 def test_comment_starts_after_every_splitlines_boundary(monkeypatch, brk):
     text = f"# c 9{brk}n=3 mode=perm{brk}# 9 9{brk}3 1{brk}  # x{brk}2{brk}"
@@ -153,8 +170,8 @@ def test_tokenizer_carries_values_and_long_lines_across_chunks(monkeypatch):
         chunks = list(iter_stream_text(io.StringIO(source)))
         assert chunks[0] == (300, StreamMode.PERMUTATION)
         assert [v for part in chunks[1:] for v in part] == list(values)
-    # chunks shorter than a line: one list per line of 20 values
-    assert [len(part) for part in list(iter_stream_text(io.StringIO(text)))[1:]] == [20] * 15
+        # chunks shorter than a line: no list holds a whole line of 20 values
+        assert max(len(part) for part in chunks[1:]) < 20
 
 
 # -- the validator --------------------------------------------------------------
@@ -410,6 +427,21 @@ def test_dispatch_warning_only_for_a_valid_stream(capsys):
 # -- detect: memory that does not grow with the stream ---------------------------
 
 
+def heap_peak_of_early_accept(argv, capsys) -> tuple[int, dict]:
+    """The tracemalloc peak and the report of one `main(argv)` that accepts early."""
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["accepted_after"] < 1000
+    return peak, report
+
+
 def test_detect_heap_peak_grows_only_by_the_guard(tmp_path, capsys):
     rng = random.Random(41)
     peaks = {}
@@ -420,16 +452,8 @@ def test_detect_heap_peak_grows_only_by_the_guard(tmp_path, capsys):
         argv = ["detect", "--pattern", "312", "--input", str(path), "--json"]
         if not peaks:
             main(argv)  # warm-up: first-call caches are not the stream's
-        capsys.readouterr()
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["stream_len"] == n and report["accepted_after"] < 1000
+        peaks[n], report = heap_peak_of_early_accept(argv, capsys)
+        assert report["stream_len"] == n
     guard_growth = 200_000 - 20_000  # one guard byte per universe value
     # Beyond the guard the peak grows by the previous chunk's values, which
     # the consumer holds while the next chunk is parsed: the file at
@@ -438,3 +462,22 @@ def test_detect_heap_peak_grows_only_by_the_guard(tmp_path, capsys):
     # slack leaves room for other interpreters.  Keeping the values alone
     # would add about 7 MB at n = 2*10^5.
     assert peaks[200_000] - peaks[20_000] <= guard_growth + 1024 * 1024, peaks
+
+
+def test_detect_heap_peak_on_a_one_line_stream(tmp_path, capsys):
+    n = 200_000
+    values = random_perm(n, random.Random(43))
+    lines = tmp_path / "lines.txt"
+    lines.write_text(format_stream_text(StreamInstance(n, StreamMode.PERMUTATION, values)))
+    one_line = tmp_path / "one-line.txt"
+    one_line.write_text(f"n={n} mode=perm\n{' '.join(map(str, values))}\n")
+    peaks = {}
+    for path in (lines, lines, one_line):  # the first run is the warm-up
+        argv = ["detect", "--pattern", "312", "--input", str(path), "--json"]
+        peaks[path.name], report = heap_peak_of_early_accept(argv, capsys)
+        assert report["stream_len"] == n
+    # The one-line file read 2.35 MB against 1.84 MB at 20 values a line on
+    # CPython 3.11: its first value chunk is joined with the text carried
+    # past the header line, so one list holds two chunks' values.  Holding
+    # the line whole read 21.1 MB.
+    assert peaks["one-line.txt"] <= peaks["lines.txt"] + 1024 * 1024, peaks
