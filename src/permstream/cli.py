@@ -20,12 +20,11 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from itertools import combinations, islice, permutations
 from typing import Iterator, Sequence
 
 from .core import (
     Pattern,
-    PatternKind,
     StreamInstance,
     StreamMode,
     StreamValidator,
@@ -46,22 +45,13 @@ from .hardgen import (
     random_subsets,
 )
 from .oracle import SplitInput, contains_bruteforce, count_occurrences, split_protocol
-from .streaming import (
-    BaselineDetector,
-    ComplementAdapter,
-    Detector,
-    Detector231,
-    Detector312,
-    MonotoneDetector,
-    bits_per_cell,
-    new_detector,
-    run_detector,
-)
+from .streaming import FAMILIES, bits_per_cell, new_detector, run_detector
 
 SCHEMA_VERSION = 1
 
 _EXHAUSTIVE_PERM_CAP = 8
 _EXHAUSTIVE_SETS_CAP = 6
+_TRIAL_BATCH = 1024  # trials a parallel fuzz run holds at once
 
 
 class UsageError(Exception):
@@ -122,34 +112,6 @@ def _parse_pattern_arg(text: str) -> Pattern:
         raise UsageError(str(exc)) from exc
 
 
-def _forced_detector(name: str, pattern: Pattern, n: int, mode: StreamMode) -> Detector:
-    values = pattern.values
-    if name == "monotone":
-        if pattern.kind is PatternKind.INCREASING:
-            return MonotoneDetector(len(pattern), n, mode)
-        if pattern.kind is PatternKind.DECREASING:
-            return ComplementAdapter(MonotoneDetector(len(pattern), n, mode))
-        raise UsageError(f"--detector monotone cannot serve the pattern {pattern}")
-    if name == "312":
-        if mode is not StreamMode.PERMUTATION:
-            raise UsageError("--detector 312 needs a permutation stream (mode=perm)")
-        if values == (3, 1, 2):
-            return Detector312(n, mode)
-        if values == (1, 3, 2):
-            return ComplementAdapter(Detector312(n, mode))
-        raise UsageError("--detector 312 serves only the patterns 312 and 132")
-    if name == "231":
-        if mode is not StreamMode.PERMUTATION:
-            raise UsageError("--detector 231 needs a permutation stream (mode=perm)")
-        if values == (2, 3, 1):
-            return Detector231(n, mode)
-        if values == (2, 1, 3):
-            return ComplementAdapter(Detector231(n, mode))
-        raise UsageError("--detector 231 serves only the patterns 231 and 213")
-    assert name == "baseline"
-    return BaselineDetector(pattern, n, mode)
-
-
 def _occurrence_json(occ) -> dict | None:
     if occ is None:
         return None
@@ -192,12 +154,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         warnings.simplefilter("always")
         try:
             if n >= 1:  # else the validator reports n
-                if args.detector == "auto":
-                    detector = new_detector(pattern, n, mode)
-                else:
-                    detector = _forced_detector(args.detector, pattern, n, mode)
-        except UsageError as exc:
-            unusable = exc
+                detector = new_detector(pattern, n, mode, args.detector)
+        except ValueError as exc:  # the forced family cannot serve it
+            unusable = UsageError(f"--detector {exc}")
     push = detector._push_validated if detector is not None else None
     kept: list[int] | None = [] if args.check else None
     accepted_at = None
@@ -336,9 +295,15 @@ def _parse_int_set(text: str | None, what: str) -> frozenset[int]:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
+#: what ``_build_construction`` builds: the disjointness constructions
+DISJOINTNESS = ("seq312", "front4:<pattern>", "4312", "3142", "2143")
+
+
 def _build_construction(
-    construction: str, n_sets: int, s: frozenset[int], t: frozenset[int]
+    construction: str, n_sets: int, s: frozenset[int], t: frozenset[int],
+    also: tuple[str, ...] = (),
 ) -> DisjInstance:
+    """The named construction; ``also`` lists the caller's other names."""
     try:
         if construction == "seq312":
             return gen_seq312(n_sets, s, t)
@@ -350,9 +315,9 @@ def _build_construction(
             return gen_3142_2143(parse_pattern(construction), n_sets, s, t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    *names, last = DISJOINTNESS + also
     raise UsageError(
-        f"unknown construction {construction!r} (expected seq312, front4:<pattern>, "
-        "4312, 3142, 2143, monotone-lb, or extend)"
+        f"unknown construction {construction!r} (expected {', '.join(names)}, or {last})"
     )
 
 
@@ -368,92 +333,50 @@ def _write_or_print(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    if args.construction == "extend":
-        if not args.input:
-            raise UsageError("extend needs --input FILE")
-        source = _checked_stream(_file_chunks(args.input))
-        out = extend_stream(source)
-        text = format_stream_text(
-            out, comments=[f"extend of {args.input} (n={source.n} -> {out.n})"]
-        )
-        if args.json:
-            _emit(
-                args,
-                {
-                    "command": "gen",
-                    "construction": "extend",
-                    "n": out.n,
-                    "mode": out.mode.value,
-                    "stream": list(out.elements),
-                },
-                [],
-            )
-            return 0
-        _write_or_print(args.out, text)
-        return 0
+Outputs = list[tuple[str, str]]  # (suffix to --out, stream text)
 
-    if args.construction == "monotone-lb":
-        if args.k is None or args.n is None or not args.rho:
-            raise UsageError("monotone-lb needs --k, --n, and --rho")
-        rho = tuple(sorted(_parse_int_set(args.rho, "--rho")))
-        sigma = tuple(sorted(_parse_int_set(args.sigma, "--sigma"))) if args.sigma else None
-        try:
-            result = gen_monotone_lb(args.k, args.n, rho, sigma)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if sigma is None:
-            inst = result
-            assert isinstance(inst, StreamInstance)
-            text = format_stream_text(inst, comments=[f"monotone-lb prefix k={args.k} rho={args.rho}"])
-            if args.json:
-                _emit(
-                    args,
-                    {
-                        "command": "gen",
-                        "construction": "monotone-lb",
-                        "k": args.k,
-                        "n": args.n,
-                        "rho": list(rho),
-                        "stream": list(inst.elements),
-                    },
-                    [],
-                )
-                return 0
-            _write_or_print(args.out, text)
-            return 0
-        accepting, rejecting = result
-        if args.json:
-            _emit(
-                args,
-                {
-                    "command": "gen",
-                    "construction": "monotone-lb",
-                    "k": args.k,
-                    "n": args.n,
-                    "rho": list(rho),
-                    "sigma": list(sigma),
-                    "accepting": list(accepting.elements),
-                    "rejecting": list(rejecting.elements),
-                },
-                [],
-            )
-            return 0
-        acc_text = format_stream_text(
-            accepting, comments=[f"monotone-lb accepting k={args.k} rho={args.rho} sigma={args.sigma}"]
-        )
-        rej_text = format_stream_text(
-            rejecting, comments=[f"monotone-lb rejecting k={args.k} rho={args.rho} sigma={args.sigma}"]
-        )
-        if args.out:
-            _write_or_print(f"{args.out}-accept.txt", acc_text)
-            _write_or_print(f"{args.out}-reject.txt", rej_text)
-        else:
-            sys.stdout.write(acc_text)
-            sys.stdout.write(rej_text)
-        return 0
 
-    # disjointness constructions
+def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
+    if not args.input:
+        raise UsageError("extend needs --input FILE")
+    source = _checked_stream(_file_chunks(args.input))
+    out = extend_stream(source)
+    text = format_stream_text(
+        out, comments=[f"extend of {args.input} (n={source.n} -> {out.n})"]
+    )
+    payload = {"n": out.n, "mode": out.mode.value, "stream": list(out.elements)}
+    return payload, [("", text)]
+
+
+def _gen_monotone_lb(args: argparse.Namespace) -> tuple[dict, Outputs]:
+    if args.k is None or args.n is None or not args.rho:
+        raise UsageError("monotone-lb needs --k, --n, and --rho")
+    rho = tuple(sorted(_parse_int_set(args.rho, "--rho")))
+    sigma = tuple(sorted(_parse_int_set(args.sigma, "--sigma"))) if args.sigma else None
+    try:
+        result = gen_monotone_lb(args.k, args.n, rho, sigma)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    payload = {"k": args.k, "n": args.n, "rho": list(rho)}
+    if sigma is None:
+        payload["stream"] = list(result.elements)
+        comment = f"monotone-lb prefix k={args.k} rho={args.rho}"
+        return payload, [("", format_stream_text(result, comments=[comment]))]
+    accepting, rejecting = result
+    payload.update(
+        sigma=list(sigma), accepting=list(accepting.elements), rejecting=list(rejecting.elements)
+    )
+    outputs = []
+    for suffix, role, inst in (
+        ("-accept.txt", "accepting", accepting),
+        ("-reject.txt", "rejecting", rejecting),
+    ):
+        comment = f"monotone-lb {role} k={args.k} rho={args.rho} sigma={args.sigma}"
+        outputs.append((suffix, format_stream_text(inst, comments=[comment])))
+    return payload, outputs
+
+
+def _gen_disjointness(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.nsets is None:
         raise UsageError(f"{args.construction} needs --nsets")
     if args.random_sets:
@@ -462,32 +385,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         s = _parse_int_set(args.s, "--s")
         t = _parse_int_set(args.t, "--t")
-    disj = _build_construction(args.construction, args.nsets, s, t)
+    disj = _build_construction(args.construction, args.nsets, s, t, ("monotone-lb", "extend"))
     comments = [
         f"construction {args.construction} nsets={args.nsets} "
         f"S={sorted(disj.s)} T={sorted(disj.t)} pattern={disj.pattern}",
     ]
     text = format_stream_text(disj.stream, segments=disj.segments, comments=comments)
+    payload = {
+        "pattern": str(disj.pattern),
+        "nsets": disj.n_sets,
+        "s": sorted(disj.s),
+        "t": sorted(disj.t),
+        "intersecting": disj.intersecting,
+        "n": disj.stream.n,
+        "mode": disj.stream.mode.value,
+        "stream": list(disj.stream.elements),
+        "segments": [list(seg) for seg in disj.segments],
+    }
+    return payload, [("", text)]
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    build = {"extend": _gen_extend, "monotone-lb": _gen_monotone_lb}.get(
+        args.construction, _gen_disjointness
+    )
+    payload, outputs = build(args)
     if args.json:
-        _emit(
-            args,
-            {
-                "command": "gen",
-                "construction": args.construction,
-                "pattern": str(disj.pattern),
-                "nsets": disj.n_sets,
-                "s": sorted(disj.s),
-                "t": sorted(disj.t),
-                "intersecting": disj.intersecting,
-                "n": disj.stream.n,
-                "mode": disj.stream.mode.value,
-                "stream": list(disj.stream.elements),
-                "segments": [list(seg) for seg in disj.segments],
-            },
-            [],
-        )
+        _emit(args, {"command": "gen", "construction": args.construction, **payload}, [])
         return 0
-    _write_or_print(args.out, text)
+    for suffix, text in outputs:
+        _write_or_print(args.out and args.out + suffix, text)
     return 0
 
 
@@ -500,14 +427,18 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _perm_trial(payload: tuple[int, int, int, str]) -> dict | None:
-    """One random-permutation trial; returns a disagreement record or None."""
-    seed, trial, n, pattern_text = payload
-    pattern = parse_pattern(pattern_text)
+def _random_perm(seed: int, trial: int, n: int) -> tuple[int, ...]:
     rng = random.Random(_trial_seed(seed, trial))
     tau = list(range(1, n + 1))
     rng.shuffle(tau)
-    inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(tau))
+    return tuple(tau)
+
+
+def _perm_trial(payload: tuple[int, str, tuple[int, ...]]) -> dict | None:
+    """One permutation trial; returns a disagreement record or None."""
+    trial, pattern_text, tau = payload
+    pattern = parse_pattern(pattern_text)
+    inst = StreamInstance(n=len(tau), mode=StreamMode.PERMUTATION, elements=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         detector_verdict = run_detector(inst, pattern).verdict
@@ -517,18 +448,16 @@ def _perm_trial(payload: tuple[int, int, int, str]) -> dict | None:
     return {
         "trial": trial,
         "stream": list(tau),
-        "n": n,
+        "n": inst.n,
         "mode": "perm",
         "detector": detector_verdict,
         "oracle": oracle_verdict,
     }
 
 
-def _construction_trial(payload: tuple[int, int, str, int]) -> dict | None:
-    """One random-subsets construction trial (iff-check plus baseline stress)."""
-    seed, trial, construction, nsets = payload
-    rng = random.Random(_trial_seed(seed, trial))
-    s, t = random_subsets(nsets, rng)
+def _construction_trial(payload: tuple[int, str, int, frozenset, frozenset]) -> dict | None:
+    """One construction trial on given subsets (iff-check plus baseline stress)."""
+    trial, construction, nsets, s, t = payload
     disj = _build_construction(construction, nsets, s, t)
     oracle_verdict = contains_bruteforce(disj.stream, disj.pattern) is not None
     want = disj.intersecting
@@ -570,62 +499,49 @@ def _write_replay(args: argparse.Namespace, record: dict, pattern: Pattern) -> s
     return path
 
 
-def _run_trials(worker, payloads, jobs: int):
-    """Run trials in order, yielding (payload, result). Parallel when jobs > 1."""
+def _run_trials(worker, payloads: Iterator, jobs: int) -> Iterator:
+    """Run trials in order, yielding their results. Parallel when jobs > 1.
+
+    The pool takes the payloads a batch at a time, so only one batch is
+    held in memory and a disagreement leaves at most one batch to finish.
+    """
     if jobs <= 1:
-        for payload in payloads:
-            yield payload, worker(payload)
+        yield from map(worker, payloads)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for payload, result in zip(payloads, pool.map(worker, payloads, chunksize=16)):
-            yield payload, result
+        while batch := list(islice(payloads, _TRIAL_BATCH)):
+            yield from pool.map(worker, batch, chunksize=16)
+
+
+def _powerset(universe: range) -> Iterator[frozenset[int]]:
+    for r in range(len(universe) + 1):
+        for subset in combinations(universe, r):
+            yield frozenset(subset)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if bool(args.pattern) == bool(args.construction):
         raise UsageError("fuzz needs exactly one of --pattern (with --n) or --construction")
-
-    disagreement: dict | None = None
-    trials_run = 0
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
 
     if args.pattern:
         pattern = _parse_pattern_arg(args.pattern)
+        if args.exhaustive and (args.n is None or args.n > _EXHAUSTIVE_PERM_CAP):
+            raise UsageError(
+                f"--exhaustive enumerates all n! permutations; n <= {_EXHAUSTIVE_PERM_CAP} "
+                f"required (8! = 40320 streams), got n={args.n}"
+            )
+        if args.n is None:
+            raise UsageError("--pattern fuzzing needs --n")
+        if args.n < 1:
+            raise UsageError(f"--n must be at least 1, got {args.n}")
         if args.exhaustive:
-            if args.n is None or args.n > _EXHAUSTIVE_PERM_CAP:
-                raise UsageError(
-                    f"--exhaustive enumerates all n! permutations; n <= {_EXHAUSTIVE_PERM_CAP} "
-                    f"required (8! = 40320 streams), got n={args.n}"
-                )
-            from itertools import permutations
-
-            for tau in permutations(range(1, args.n + 1)):
-                trials_run += 1
-                inst = StreamInstance(args.n, StreamMode.PERMUTATION, tau)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    det = run_detector(inst, pattern).verdict
-                orc = contains_bruteforce(inst, pattern) is not None
-                if det != orc:
-                    disagreement = {
-                        "trial": trials_run - 1,
-                        "stream": list(tau),
-                        "n": args.n,
-                        "mode": "perm",
-                        "detector": det,
-                        "oracle": orc,
-                    }
-                    break
+            streams = permutations(range(1, args.n + 1))
         else:
-            if args.n is None:
-                raise UsageError("--pattern fuzzing needs --n")
-            payloads = [
-                (args.seed, t, args.n, str(pattern)) for t in range(args.trials)
-            ]
-            for _, result in _run_trials(_perm_trial, payloads, args.jobs):
-                trials_run += 1
-                if result is not None:
-                    disagreement = result
-                    break
+            streams = (_random_perm(args.seed, t, args.n) for t in range(args.trials))
+        worker = _perm_trial
+        payloads = ((t, str(pattern), tau) for t, tau in enumerate(streams))
         label = f"pattern {pattern}"
     else:
         construction = args.construction
@@ -640,45 +556,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     f"--exhaustive enumerates all 4^nsets subset pairs; nsets <= "
                     f"{_EXHAUSTIVE_SETS_CAP} required (4^6 = 4096 pairs), got {args.nsets}"
                 )
-            universe = list(range(1, args.nsets + 1))
-            from itertools import chain, combinations
-
-            def powerset(xs):
-                return chain.from_iterable(combinations(xs, r) for r in range(len(xs) + 1))
-
-            for s in powerset(universe):
-                for t in powerset(universe):
-                    trials_run += 1
-                    disj = _build_construction(construction, args.nsets, frozenset(s), frozenset(t))
-                    orc = contains_bruteforce(disj.stream, disj.pattern) is not None
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        det = run_detector(disj.stream, disj.pattern).verdict
-                    if orc != disj.intersecting or det != disj.intersecting:
-                        disagreement = {
-                            "trial": trials_run - 1,
-                            "stream": list(disj.stream.elements),
-                            "n": disj.stream.n,
-                            "mode": disj.stream.mode.value,
-                            "s": sorted(disj.s),
-                            "t": sorted(disj.t),
-                            "intersecting": disj.intersecting,
-                            "oracle": orc,
-                            "detector": det,
-                        }
-                        break
-                if disagreement:
-                    break
+            universe = range(1, args.nsets + 1)
+            pairs = ((s, t) for s in _powerset(universe) for t in _powerset(universe))
         else:
-            payloads = [
-                (args.seed, t, construction, args.nsets) for t in range(args.trials)
-            ]
-            for _, result in _run_trials(_construction_trial, payloads, args.jobs):
-                trials_run += 1
-                if result is not None:
-                    disagreement = result
-                    break
+            pairs = (
+                random_subsets(args.nsets, random.Random(_trial_seed(args.seed, t)))
+                for t in range(args.trials)
+            )
+        worker = _construction_trial
+        payloads = ((t, construction, args.nsets, s, u) for t, (s, u) in enumerate(pairs))
         label = f"construction {construction}"
+
+    disagreement: dict | None = None
+    trials_run = 0
+    for result in _run_trials(worker, payloads, args.jobs):
+        trials_run += 1
+        if result is not None:
+            disagreement = result
+            break
 
     replay_path = None
     if disagreement is not None:
@@ -711,45 +606,47 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layered_312_avoider(n: int, block: int) -> list[int]:
-    """Blocks of descending values in ascending block order: avoids 312."""
-    out: list[int] = []
-    for lo in range(1, n + 1, block):
-        hi = min(lo + block - 1, n)
-        out.extend(range(hi, lo - 1, -1))
-    return out
-
-
-def _adversary(pattern: Pattern, n: int) -> list[int] | None:
-    """A pattern-avoiding permutation that maximizes detector state."""
-    values = pattern.values
-    if pattern.kind is PatternKind.INCREASING:
-        return list(range(n, 0, -1))
-    if pattern.kind is PatternKind.DECREASING:
-        return list(range(1, n + 1))
-    from .streaming.window312 import default_window
-
-    if values == (3, 1, 2):
-        return _layered_312_avoider(n, default_window(n) + 1)
-    if values == (1, 3, 2):
-        return [n + 1 - v for v in _layered_312_avoider(n, default_window(n) + 1)]
-    if values == (2, 3, 1):
-        return list(range(1, n + 1))
-    if values == (2, 1, 3):
-        return list(range(n, 0, -1))
-    return None
-
-
-def _space_bound(pattern: Pattern, n: int) -> tuple[str, float]:
-    import math
-
-    if pattern.kind in (PatternKind.INCREASING, PatternKind.DECREASING):
-        return ("k", float(len(pattern)))
-    if pattern.values in ((3, 1, 2), (1, 3, 2)):
-        return ("sqrt(n*log2(n))", math.sqrt(n * math.log2(n)) if n > 1 else 1.0)
-    if pattern.values in ((2, 3, 1), (2, 1, 3)):
-        return ("sqrt(n)", math.sqrt(n))
-    return ("n", float(n))
+def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
+    """Peak cells on seeded random permutations and on the detector's adversary."""
+    if len(pattern) > n:
+        raise UsageError(f"pattern {pattern} is longer than n={n}")
+    detector = new_detector(pattern, n)
+    bound_name, bound = detector.space_bound()
+    rng = random.Random(seed)
+    random_peak = 0
+    accepts = 0
+    t0 = time.monotonic()
+    for _ in range(trials):
+        tau = list(range(1, n + 1))
+        rng.shuffle(tau)
+        inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(tau))
+        rep = run_detector(inst, pattern)
+        random_peak = max(random_peak, rep.peak_cells)
+        accepts += rep.verdict
+    adv = detector.adversary()
+    adv_peak = None
+    adv_structures: dict[str, int] = {}
+    if adv is not None:
+        inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(adv))
+        rep = run_detector(inst, pattern, detector)
+        if rep.verdict:
+            raise AssertionError(f"adversarial instance for {pattern} was accepted")
+        adv_peak = rep.peak_cells
+        adv_structures = rep.structure_peaks
+    return {
+        "n": n,
+        "trials": trials,
+        "accept_rate": accepts / trials if trials else None,
+        "bound": bound_name,
+        "bound_value": round(bound, 3),
+        "random_peak_cells": random_peak,
+        "random_ratio": round(random_peak / bound, 4),
+        "adversarial_peak_cells": adv_peak,
+        "adversarial_ratio": round(adv_peak / bound, 4) if adv_peak else None,
+        "adversarial_structures": adv_structures,
+        "bits_per_cell": bits_per_cell(n),
+        "seconds": round(time.monotonic() - t0, 3),
+    }
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -760,53 +657,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --sizes: {exc}") from exc
     if any(n < 1 for n in sizes):
         raise UsageError("--sizes must be positive")
-
-    rows = []
-    for n in sizes:
-        if len(pattern) > n:
-            raise UsageError(f"pattern {pattern} is longer than n={n}")
-        bound_name, bound = _space_bound(pattern, n)
-        rng = random.Random(args.seed)
-        random_peak = 0
-        accepts = 0
-        t0 = time.monotonic()
-        for _ in range(args.trials):
-            tau = list(range(1, n + 1))
-            rng.shuffle(tau)
-            inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(tau))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = run_detector(inst, pattern)
-            random_peak = max(random_peak, rep.peak_cells)
-            accepts += rep.verdict
-        adv = _adversary(pattern, n)
-        adv_peak = None
-        adv_structures: dict[str, int] = {}
-        if adv is not None:
-            inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(adv))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = run_detector(inst, pattern)
-            if rep.verdict:
-                raise AssertionError(f"adversarial instance for {pattern} was accepted")
-            adv_peak = rep.peak_cells
-            adv_structures = rep.structure_peaks
-        rows.append(
-            {
-                "n": n,
-                "trials": args.trials,
-                "accept_rate": accepts / args.trials if args.trials else None,
-                "bound": bound_name,
-                "bound_value": round(bound, 3),
-                "random_peak_cells": random_peak,
-                "random_ratio": round(random_peak / bound, 4),
-                "adversarial_peak_cells": adv_peak,
-                "adversarial_ratio": round(adv_peak / bound, 4) if adv_peak else None,
-                "adversarial_structures": adv_structures,
-                "bits_per_cell": bits_per_cell(n),
-                "seconds": round(time.monotonic() - t0, 3),
-            }
-        )
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the baseline's dispatch warning
+        rows = [_bench_row(pattern, n, args.trials, args.seed) for n in sizes]
 
     human = [f"bench pattern {pattern} ({args.trials} random trials per size)"]
     header = (
@@ -856,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stream_args(p)
     p.add_argument(
         "--detector",
-        choices=["auto", "monotone", "312", "231", "baseline"],
+        choices=["auto", *FAMILIES],
         default="auto",
         help="force a detector family instead of dispatching",
     )

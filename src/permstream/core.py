@@ -152,14 +152,15 @@ class StreamInstance:
         return len(self.elements)
 
 
-def grow_guard(guard: bytearray, value: int, n: int) -> None:
-    """Extend a duplicate guard (one byte per value) to hold ``value`` <= n.
+def grow_guard(guard: bytearray, value: int, n: int) -> bytearray:
+    """A copy of a duplicate guard (one byte per value) that holds ``value`` <= n.
 
     It grows at least twofold, so growing costs O(1) per value, and never
-    past n + 1 bytes, so its memory follows the largest value held.
+    past n + 1 bytes, so its memory follows the largest value held.  It is
+    a padded copy, not an extension in place, so that growing holds the old
+    and the new guard but no zero-filled temporary besides.
     """
-    size = len(guard)
-    guard.extend(bytes(min(n + 1, max(value + 1, 2 * size)) - size))
+    return guard.ljust(min(n + 1, max(value + 1, 2 * len(guard))), b"\0")
 
 
 class StreamValidator:
@@ -200,7 +201,7 @@ class StreamValidator:
                     guard[value] = 1
                     continue
                 if size <= value <= n:
-                    grow_guard(guard, value, n)
+                    guard = self._guard = grow_guard(guard, value, n)
                     size = len(guard)
                     guard[value] = 1
                     continue

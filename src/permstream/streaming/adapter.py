@@ -4,14 +4,15 @@ A stream contains a pattern exactly when the complemented stream (v -> n+1-v)
 contains the complemented pattern.  The adapter complements each value on the
 way in and re-complements any reported witness values on the way out;
 positions pass through untouched.  It adds no storage of its own, so the
-inner detector's space telemetry is reported as-is.  Validation happens once,
+inner detector's space telemetry and space bound are reported as-is, and its
+adversary is complemented like any stream.  Validation happens once,
 on the adapter's own push, so errors name the value the caller pushed and the
 inner detector never allocates a second duplicate guard.
 """
 
 from __future__ import annotations
 
-from ..core import Occurrence, Pattern, classify_pattern, complement
+from ..core import Occurrence, classify_pattern, complement
 from .base import Detector, DetectorReport
 
 
@@ -44,6 +45,14 @@ class ComplementAdapter(Detector):
             peak_bits=report.peak_bits,
             structure_peaks=report.structure_peaks,
         )
+
+    def space_bound(self) -> tuple[str, float]:
+        return self.inner.space_bound()
+
+    def adversary(self) -> list[int] | None:
+        """The inner detector's adversary, complemented."""
+        adv = self.inner.adversary()
+        return None if adv is None else list(complement(adv, self.n))
 
     def _map_occurrence(self, occ: Occurrence | None) -> Occurrence | None:
         if occ is None:

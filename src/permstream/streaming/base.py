@@ -81,7 +81,7 @@ class Detector:
         if seen is None:
             seen = self._seen = bytearray(1)  # index 0 unused
         if value >= len(seen):
-            grow_guard(seen, value, self.n)
+            seen = self._seen = grow_guard(seen, value, self.n)
         elif seen[value]:
             raise ValueError(f"duplicate value {value}")
         seen[value] = 1
@@ -133,6 +133,17 @@ class Detector:
     def _end_check(self) -> bool:
         """Extra acceptance work at end of stream (default: none)."""
         return False
+
+    # -- each detector's space bound and worst case ---------------------
+
+    def space_bound(self) -> tuple[str, float]:
+        """The detector's space bound in cells: ``(formula, value at n)``."""
+        raise NotImplementedError
+
+    def adversary(self) -> list[int] | None:
+        """A permutation of [1..n] that avoids the pattern and drives this
+        detector's state to its peak, or None when there is none to offer."""
+        return None
 
     # -- telemetry helpers ----------------------------------------------
 

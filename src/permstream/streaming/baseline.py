@@ -66,6 +66,9 @@ class BaselineDetector(Detector):
         )
         return True
 
+    def space_bound(self) -> tuple[str, float]:
+        return ("n", float(self.n))
+
 
 class TrivialRejectDetector(Detector):
     """Rejects without storing anything (pattern longer than the universe)."""

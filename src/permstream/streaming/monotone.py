@@ -44,3 +44,10 @@ class MonotoneDetector(Detector):
         else:
             self._x[i] = value
         return False
+
+    def space_bound(self) -> tuple[str, float]:
+        return ("k", float(self.k))
+
+    def adversary(self) -> list[int] | None:
+        """The decreasing stream (no permutation avoids the pattern 1)."""
+        return list(range(self.n, 0, -1)) if self.k > 1 else None

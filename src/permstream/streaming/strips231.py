@@ -231,6 +231,13 @@ class Detector231(Detector):
         self._meter()
         return False
 
+    def space_bound(self) -> tuple[str, float]:
+        return ("sqrt(n)", math.sqrt(self.n))
+
+    def adversary(self) -> list[int] | None:
+        """The increasing stream: every strip closes with a record."""
+        return list(range(1, self.n + 1))
+
     def _meter(self) -> None:
         buffered = len(self._buffer)
         self._note_space(1 + buffered + self._record_cells, buffered, len(self._records))

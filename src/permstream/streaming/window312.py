@@ -137,6 +137,19 @@ class Detector312(Detector):
             cand -= 1
         return cand
 
+    def space_bound(self) -> tuple[str, float]:
+        n = self.n
+        return ("sqrt(n*log2(n))", math.sqrt(n * math.log2(n)) if n > 1 else 1.0)
+
+    def adversary(self) -> list[int] | None:
+        """Blocks of descending values in ascending block order, one value
+        wider than the window, so every block start undercuts the window and
+        stores a pair.  Such a layered stream avoids 312."""
+        out: list[int] = []
+        for lo in range(1, self.n + 1, self.k + 1):
+            out.extend(range(min(lo + self.k, self.n), lo - 1, -1))
+        return out
+
     def _meter(self) -> None:
         # h with its position is one stored point; the running index is one
         # value; each pair entry keeps a value pair and a position pair.

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from permstream import parse_pattern, read_stream_file
+from permstream import cli
 from permstream.cli import _write_replay, build_parser, main
 
 
@@ -223,6 +224,54 @@ def test_fuzz_argument_validation():
                    "--nsets", "3") == 2  # both targets
     assert run_cli("fuzz", "--pattern", "312") == 2  # missing --n
     assert run_cli("fuzz", "--construction", "seq312") == 2  # missing --nsets
+
+
+@pytest.mark.parametrize("n, exhaustive", [("0", False), ("0", True), ("-3", False), ("-3", True)])
+def test_fuzz_rejects_an_empty_universe(n, exhaustive, capsys):
+    argv = ["fuzz", "--pattern", "12", "--n", n] + ["--exhaustive"] * exhaustive
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--pattern", "12", "--sizes", "4"],
+    ["fuzz", "--pattern", "12", "--n", "4"],
+    ["fuzz", "--construction", "4312", "--nsets", "2"],
+])
+def test_negative_trials_are_rejected(argv, capsys):
+    assert run_cli(*argv, "--trials", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trials must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("construction", ["monotone-lb", "extend", "bogus"])
+def test_fuzz_lists_only_the_constructions_it_takes(construction, capsys):
+    assert run_cli("fuzz", "--construction", construction, "--nsets", "3") == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown construction {construction!r} "
+        "(expected seq312, front4:<pattern>, 4312, 3142, or 2143)\n"
+    )
+    assert run_cli("gen", "--construction", "bogus", "--nsets", "3") == 2
+    assert capsys.readouterr().err.endswith("2143, monotone-lb, or extend)\n")
+
+
+def test_fuzz_exhaustive_runs_in_parallel(monkeypatch, capsys):
+    pools = []
+
+    class Pool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    argv = ["fuzz", "--pattern", "132", "--n", "6", "--exhaustive", "--json"]
+    assert run_cli(*argv, "--jobs", "1") == 0
+    serial = json_out(capsys)
+    assert run_cli(*argv, "--jobs", "2") == 0
+    assert canonical(json_out(capsys)) == canonical(serial)
+    assert serial["trials"] == 720 and serial["disagreement"] is None
+    assert pools == [2]
 
 
 def test_replay_file_round_trips(tmp_path):

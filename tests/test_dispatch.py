@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+import warnings
 from itertools import permutations
 
 import pytest
@@ -144,13 +146,34 @@ def test_guard_follows_the_values_not_n(n, pattern):
     assert report.verdict == (want is not None)
     if not monotone:
         assert report.occurrence == want
-    assert len(det._seen) <= 8
+    assert det._seen is None  # run_detector validated the stream: one guard
     det = new_detector(pat, n, SEQ) if monotone else BaselineDetector(pat, n, SEQ)
     with pytest.raises(ValueError, match=rf"^value {n + 1} out of range \[1, {n}\]$"):
         det.push(n + 1)
     det.push(3)
     with pytest.raises(ValueError, match="^duplicate value 3$"):
         det.push(3)
+    assert len(det._seen) <= 8
+
+
+@pytest.mark.parametrize("pattern", ["12", "312"])
+def test_run_detector_heap_holds_one_guard(pattern):
+    # the valid seq stream (10^7, 1) needs one duplicate guard of n + 1
+    # bytes: the detector keeps none of its own, and growing the guard makes
+    # no zero-filled temporary (either one would double the peak)
+    n = 10**7
+    pat = parse_pattern(pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        det = new_detector(pat, n, SEQ)
+    tracemalloc.start()
+    try:
+        assert not run_detector(seq_instance((n, 1), n), pat, det).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n < peak < 1.25 * n
+
 
 def test_finish_is_terminal():
     det = MonotoneDetector(2, 3, SEQ)
