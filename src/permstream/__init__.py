@@ -21,7 +21,6 @@ from .core import (
     Occurrence,
     Pattern,
     PatternKind,
-    Point,
     StreamInstance,
     StreamMode,
     classify_pattern,
@@ -89,7 +88,6 @@ __all__ = [
     "Occurrence",
     "Pattern",
     "PatternKind",
-    "Point",
     "Segment",
     "SplitInput",
     "StreamInstance",

@@ -32,7 +32,8 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 class StreamMode(enum.Enum):
@@ -141,7 +142,8 @@ class StreamInstance:
 
     The constructor is permissive so that malformed candidate streams can be
     represented and then rejected; use :func:`validate_stream` /
-    :func:`stream_violation` before trusting an instance.
+    :func:`stream_violation` before trusting an instance.  It is checked
+    once, on the first such call, and keeps its verdict outside eq and hash.
     """
 
     n: int
@@ -151,16 +153,25 @@ class StreamInstance:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _violation(self) -> str | None:
+        check = StreamValidator(self.n, self.mode)
+        elements = self.elements
+        for pos, value in enumerate(elements):
+            if not isinstance(value, int) or isinstance(value, bool):
+                check.feed(elements[:pos])
+                check.error = check.error or f"non-integer value {value!r} at position {pos + 1}"
+                break
+        else:
+            check.feed(elements)
+        check.count = len(elements)
+        return check.violation()
 
-def grow_guard(guard: bytearray, value: int, n: int) -> bytearray:
-    """A copy of a duplicate guard (one byte per value) that holds ``value`` <= n.
 
-    It grows at least twofold, so growing costs O(1) per value, and never
-    past n + 1 bytes, so its memory follows the largest value held.  It is
-    a padded copy, not an extension in place, so that growing holds the old
-    and the new guard but no zero-filled temporary besides.
-    """
-    return guard.ljust(min(n + 1, max(value + 1, 2 * len(guard))), b"\0")
+#: the guard's bytearray takes each value up to the floor, and a larger one while
+#: that costs at most this many bytes per value read, about a set entry's cost
+DENSE_FLOOR = 1 << 20
+DENSE_BYTES_PER_VALUE = 64
 
 
 class StreamValidator:
@@ -170,9 +181,10 @@ class StreamValidator:
     duplicate error with its 1-based position; it keeps counting after that.
     :meth:`violation` then reports exactly what :func:`stream_violation` does,
     in the same order: n < 1, the permutation count, the first value error.
-    The duplicate guard holds one byte per value up to the largest in-range
-    value seen so far, so a header that overstates n costs nothing until
-    the values bear it out.
+
+    This is the only duplicate guard; its memory follows the values read,
+    never n: a ``bytearray`` while dense, a ``set`` for values far above the
+    count read.  Only a value that misses the bytearray decides between them.
 
     >>> check = StreamValidator(4, StreamMode.PERMUTATION)
     >>> check.feed([2, 4]); check.feed([2])
@@ -188,37 +200,55 @@ class StreamValidator:
         self.count = 0
         self.error: str | None = None
         self._guard = bytearray(1)  # index 0 unused, so every guarded value is >= 1
+        self._far: set[int] = set()  # the values held, all >= len(self._guard)
 
     def feed(self, values: Sequence[int]) -> None:
         """Check the next ``values`` (a list or tuple of ints)."""
         if self.error is None:
             guard = self._guard
             size = len(guard)
-            n = self.n
             it = iter(values)
             for value in it:
                 if 0 < value < size and not guard[value]:
                     guard[value] = 1
                     continue
-                if size <= value <= n:
-                    guard = self._guard = grow_guard(guard, value, n)
-                    size = len(guard)
-                    guard[value] = 1
-                    continue
                 # the iterator's length hint counts the values still unread
                 pos = self.count + len(values) - it.__length_hint__()
-                if 0 < value <= n:
-                    self.error = f"duplicate value {value} at position {pos}"
-                else:
-                    self.error = f"value {value} out of range [1, {n}] at position {pos}"
-                break
+                reason = self.hold(value, pos - 1)
+                if reason is not None:
+                    self.error = f"{reason} at position {pos}"
+                    break
+                guard = self._guard
+                size = len(guard)
         self.count += len(values)
 
-    def feed_non_integer(self, values: Sequence) -> None:
-        """Count the rest of a stream whose next value, ``values[0]``, is not an int."""
-        if self.error is None:
-            self.error = f"non-integer value {values[0]!r} at position {self.count + 1}"
-        self.count += len(values)
+    def hold(self, value: int, read: int) -> str | None:
+        """Hold one int, the one after ``read`` values; if refused, say why (no position)."""
+        guard = self._guard
+        if not 0 < value < len(guard):
+            if not 0 < value <= self.n:
+                return f"value {value} out of range [1, {self.n}]"
+            far = self._far
+            limit = max(DENSE_FLOOR, DENSE_BYTES_PER_VALUE * (read + 1))
+            if value > limit:
+                held = value in far
+                far.add(value)
+                return f"duplicate value {value}" if held else None
+            # Grow at least twofold (O(1) per value) and never past n + 1
+            # bytes; a padded copy makes no zero-filled temporary besides.
+            size = max(value + 1, 2 * len(guard))
+            if far:  # take in the held values within reach: a dense stream ends in the bytearray
+                size = max(size, max((v + 1 for v in far if v <= 2 * limit), default=0))
+            guard = self._guard = guard.ljust(min(self.n + 1, size), b"\0")
+            if far:
+                for v in far:
+                    if v < len(guard):
+                        guard[v] = 1
+                self._far = {v for v in far if v >= len(guard)}  # a new set frees the old table
+        if guard[value]:
+            return f"duplicate value {value}"
+        guard[value] = 1
+        return None
 
     def violation(self) -> str | None:
         """A human-readable reason the values fed so far are malformed, or None."""
@@ -234,28 +264,18 @@ class StreamValidator:
 
 def stream_violation(inst: StreamInstance) -> str | None:
     """Return a human-readable reason the instance is malformed, or None."""
-    check = StreamValidator(inst.n, inst.mode)
-    elements = inst.elements
-    for pos, value in enumerate(elements):
-        if not isinstance(value, int) or isinstance(value, bool):
-            check.feed(elements[:pos])
-            check.feed_non_integer(elements[pos:])
-            break
-    else:
-        check.feed(elements)
-    return check.violation()
+    return inst._violation
 
 
 def validate_stream(inst: StreamInstance) -> bool:
     """True when the instance satisfies its declared mode's promises."""
-    return stream_violation(inst) is None
+    return inst._violation is None
 
 
-class Point(NamedTuple):
-    """A stream element viewed as a point: x is the 1-based position, y the value."""
-
-    x: int
-    y: int
+def require_valid_stream(inst: StreamInstance) -> None:
+    """Raise ValueError with the reason when the instance is malformed."""
+    if inst._violation is not None:
+        raise ValueError(f"invalid stream: {inst._violation}")
 
 
 @dataclass(frozen=True)

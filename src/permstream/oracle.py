@@ -21,14 +21,8 @@ from .core import (
     classify_pattern,
     is_order_isomorphic,
     rank_normalize,
-    stream_violation,
+    require_valid_stream,
 )
-
-
-def _check_instance(inst: StreamInstance) -> None:
-    reason = stream_violation(inst)
-    if reason is not None:
-        raise ValueError(f"invalid stream: {reason}")
 
 
 def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | None:
@@ -39,7 +33,7 @@ def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | 
     earliest undecided position.  Returns None when the stream avoids the
     pattern.
     """
-    _check_instance(inst)
+    require_valid_stream(inst)
     values = inst.elements
     pat = pattern.values
     k = len(pat)
@@ -83,7 +77,7 @@ def count_occurrences(inst: StreamInstance, pattern: Pattern) -> int:
     Enumerates every order-isomorphic subsequence, so the cost grows like
     C(len(stream), len(pattern)); keep inputs desk-scale.
     """
-    _check_instance(inst)
+    require_valid_stream(inst)
     values = inst.elements
     pat = pattern.values
     k = len(pat)

@@ -12,6 +12,8 @@ inner detector never allocates a second duplicate guard.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..core import Occurrence, classify_pattern, complement
 from .base import Detector, DetectorReport
 
@@ -23,28 +25,18 @@ class ComplementAdapter(Detector):
         pattern = classify_pattern(complement(inner.pattern.values, len(inner.pattern)))
         super().__init__(pattern, inner.n, inner.mode)
         self.inner = inner
-        self.bit_array_bits = inner.bit_array_bits
 
     def _step(self, value: int) -> bool:
         if self.inner._push_validated(self.n + 1 - value):
             return self._accept(self._map_occurrence(self.inner.occurrence))
         return False
 
-    def _end_check(self) -> bool:
-        return False  # unused; finish() is overridden
-
     def finish(self) -> DetectorReport:
         if self._finished:
             raise ValueError("finish called twice")
         self._finished = True
         report = self.inner.finish()
-        return DetectorReport(
-            verdict=report.verdict,
-            occurrence=self._map_occurrence(report.occurrence),
-            peak_cells=report.peak_cells,
-            peak_bits=report.peak_bits,
-            structure_peaks=report.structure_peaks,
-        )
+        return replace(report, occurrence=self._map_occurrence(report.occurrence))
 
     def space_bound(self) -> tuple[str, float]:
         return self.inner.space_bound()

@@ -8,11 +8,12 @@ returning True.
 Space is metered in *cells*: one cell per stored value, per stored point, and
 per stored pair.  ``peak_bits`` estimates the footprint as
 ``peak_cells * ceil(log2 n)`` plus the widths of any bit-arrays the detector
-keeps.  The duplicate-input guard (one byte per value up to the largest
-value pushed so far, allocated on the first push and used to reject
-malformed pushes with a clear error) is boundary validation rather than
-algorithm state, so it is deliberately excluded from the metering.  It is
-never sized from n, which may be far beyond memory in ``seq`` mode.
+keeps.  The duplicate-input guard belongs to a
+:class:`~permstream.core.StreamValidator`, the one boundary check, which a
+detector creates on its first :meth:`Detector.push` and whose memory
+follows the values pushed, never n.  It rejects malformed pushes with a
+clear error and is boundary validation rather than algorithm state, so it
+is deliberately excluded from the metering.
 
 Detectors report their current footprint through :meth:`Detector._note_space`
 with positional sizes, one per name in ``structure_names``, so that metering
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core import Occurrence, Pattern, StreamMode, grow_guard
+from ..core import Occurrence, Pattern, StreamMode, StreamValidator
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class Detector:
         self.peak_cells = 0
         self._size_peaks = [-1, -1]  # -1 until the first _note_space
         self._finished = False
-        self._seen: bytearray | None = None
+        self._validator: StreamValidator | None = None  # made on the first push
 
     # -- the push/finish state machine ----------------------------------
 
@@ -73,18 +74,13 @@ class Detector:
             raise ValueError("push after finish")
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"stream values must be ints, got {value!r}")
-        if not 1 <= value <= self.n:
-            raise ValueError(f"value {value} out of range [1, {self.n}]")
-        if self.accepted:
-            return True
-        seen = self._seen
-        if seen is None:
-            seen = self._seen = bytearray(1)  # index 0 unused
-        if value >= len(seen):
-            seen = self._seen = grow_guard(seen, value, self.n)
-        elif seen[value]:
-            raise ValueError(f"duplicate value {value}")
-        seen[value] = 1
+        if self.accepted and 0 < value <= self.n:
+            return True  # latched: values in range are no longer held
+        if self._validator is None:
+            self._validator = StreamValidator(self.n, self.mode)
+        reason = self._validator.hold(value, self.pushes)
+        if reason is not None:
+            raise ValueError(reason)
         self.pushes += 1
         return self._step(value)
 

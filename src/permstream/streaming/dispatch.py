@@ -40,7 +40,7 @@ from ..core import (
     StreamMode,
     classify_pattern,
     complement,
-    stream_violation,
+    require_valid_stream,
 )
 from .adapter import ComplementAdapter
 from .base import Detector, DetectorReport
@@ -144,14 +144,12 @@ def run_detector(
 ) -> DetectorReport:
     """Validate the stream, feed it to the detector, and return the report.
 
-    The stream is validated once, here, so the values go in through
-    ``_push_validated`` and the detector allocates no duplicate guard of its
-    own.  Stops pushing as soon as the detector accepts (the streaming early
-    exit).
+    The instance keeps its verdict (it is scanned at most once), so the
+    values go in through ``_push_validated`` and the detector allocates no
+    duplicate guard of its own.  Stops pushing as soon as the detector
+    accepts (the streaming early exit).
     """
-    reason = stream_violation(inst)
-    if reason is not None:
-        raise ValueError(f"invalid stream: {reason}")
+    require_valid_stream(inst)
     if detector is None:
         detector = new_detector(pattern, inst.n, inst.mode)
     push = detector._push_validated

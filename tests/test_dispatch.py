@@ -24,6 +24,7 @@ from permstream import (
     parse_pattern,
     run_detector,
 )
+from permstream.core import DENSE_FLOOR
 from conftest import all_patterns, perm_instance, random_perm, seq_instance
 
 PERM = StreamMode.PERMUTATION
@@ -105,7 +106,7 @@ def test_push_validation_errors():
 def test_guard_allocated_on_first_push_still_rejects_first_value():
     for bad, match in ((0, "range"), (6, "range"), ("3", "ints")):
         det = Detector312(5)
-        assert det._seen is None  # nothing allocated before the first push
+        assert det._validator is None  # nothing allocated before the first push
         with pytest.raises(ValueError, match=match):
             det.push(bad)
         assert not det.push(3)
@@ -127,7 +128,7 @@ def test_adapter_guard_names_the_pushed_value(pattern):
         det.push(1)
     assert not det.push(5)  # 5 is new, though the inner detector saw 5 for the 1
     # one guard, on the adapter: the inner detector is fed validated values
-    assert det.inner._seen is None
+    assert det.inner._validator is None
     assert (det.pushes, det.inner.pushes) == (2, 2)
 
 
@@ -146,22 +147,23 @@ def test_guard_follows_the_values_not_n(n, pattern):
     assert report.verdict == (want is not None)
     if not monotone:
         assert report.occurrence == want
-    assert det._seen is None  # run_detector validated the stream: one guard
+    assert det._validator is None  # run_detector validated the stream: one guard
     det = new_detector(pat, n, SEQ) if monotone else BaselineDetector(pat, n, SEQ)
     with pytest.raises(ValueError, match=rf"^value {n + 1} out of range \[1, {n}\]$"):
         det.push(n + 1)
     det.push(3)
     with pytest.raises(ValueError, match="^duplicate value 3$"):
         det.push(3)
-    assert len(det._seen) <= 8
+    assert len(det._validator._guard) <= 8 and not det._validator._far
 
 
 @pytest.mark.parametrize("pattern", ["12", "312"])
 def test_run_detector_heap_holds_one_guard(pattern):
-    # the valid seq stream (10^7, 1) needs one duplicate guard of n + 1
-    # bytes: the detector keeps none of its own, and growing the guard makes
-    # no zero-filled temporary (either one would double the peak)
-    n = 10**7
+    # values up to DENSE_FLOOR always go into the bytearray, so the valid
+    # seq stream (2^20, 1) needs one guard of n + 1 bytes: the detector
+    # keeps none of its own, and growing the guard makes no zero-filled
+    # temporary (either one would double the peak)
+    n = DENSE_FLOOR
     pat = parse_pattern(pattern)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -173,6 +175,24 @@ def test_run_detector_heap_holds_one_guard(pattern):
     finally:
         tracemalloc.stop()
     assert n < peak < 1.25 * n
+
+
+@pytest.mark.parametrize("pattern", ["12", "312"])
+def test_run_detector_heap_on_a_sparse_stream(pattern):
+    # (10^8, 1) is far above the two values read: the guard holds it in a set
+    n = 10**8
+    pat = parse_pattern(pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        det = new_detector(pat, n, SEQ)
+    inst = seq_instance((n, 1), n)
+    tracemalloc.start()
+    try:
+        assert not run_detector(inst, pat, det).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_finish_is_terminal():
@@ -204,6 +224,22 @@ def test_pushes_after_acceptance_latch():
     assert det.push(4)  # latched: keeps returning True, no error
     assert det.push(3)
     assert det.finish().verdict
+
+
+def test_latched_push_checks_finished_int_and_range_but_not_duplicates():
+    det = MonotoneDetector(2, 4, PERM)
+    assert not det.push(1)
+    assert det.push(2)
+    assert det.push(2)  # a duplicate after the latch is not held
+    with pytest.raises(ValueError, match=r"^value 5 out of range \[1, 4\]$"):
+        det.push(5)
+    with pytest.raises(ValueError, match=r"^value 0 out of range \[1, 4\]$"):
+        det.push(0)
+    with pytest.raises(ValueError, match="^stream values must be ints, got True$"):
+        det.push(True)
+    det.finish()
+    with pytest.raises(ValueError, match="^push after finish$"):
+        det.push(3)
 
 
 # -- run_detector ----------------------------------------------------------------------

@@ -22,12 +22,14 @@ from permstream import (
     StreamInstance,
     StreamMode,
     contains_bruteforce,
+    count_occurrences,
     format_stream_text,
     new_detector,
     parse_pattern,
     parse_stream_text,
     run_detector,
     stream_violation,
+    validate_stream,
 )
 from permstream.cli import _occurrence_json, main
 from permstream import core
@@ -192,6 +194,73 @@ def test_validator_matches_the_reference_in_any_chunking():
             start += size
         assert check.violation() == want
         assert check.count == len(elements)
+
+
+def test_validator_holds_far_values_in_a_set(monkeypatch):
+    # a small floor and slack make the set and the moves out of it reachable
+    monkeypatch.setattr(core, "DENSE_FLOOR", 4)
+    monkeypatch.setattr(core, "DENSE_BYTES_PER_VALUE", 2)
+    rng = random.Random(14)
+    for _ in range(3000):
+        n = rng.randint(1, 80)
+        elements = rng.sample(range(1, n + 1), rng.randint(0, n))
+        for _ in range(rng.randint(0, 2)):  # a duplicate, or a value out of range
+            bad = rng.choice(elements) if elements and rng.random() < 0.8 else n + 1
+            elements.insert(rng.randint(0, len(elements)), bad)
+        want = reference_violation(StreamInstance(n, StreamMode.DISTINCT_SEQUENCE, tuple(elements)))
+        check = StreamValidator(n, StreamMode.DISTINCT_SEQUENCE)
+        start = 0
+        while start < len(elements):
+            size = rng.randint(0, 5)
+            check.feed(elements[start : start + size])
+            start += size
+        assert check.violation() == want
+        assert all(v >= len(check._guard) for v in check._far)
+        one = StreamValidator(n, StreamMode.DISTINCT_SEQUENCE)  # as Detector.push checks
+        refused = next(filter(None, map(one.hold, elements, range(len(elements)))), None)
+        assert refused == (want and want.rsplit(" at position ", 1)[0])
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+def test_validator_ends_a_dense_stream_with_the_bytearray_alone(monkeypatch, order):
+    monkeypatch.setattr(core, "DENSE_FLOOR", 64)
+    n = 5000
+    values = list(range(1, n + 1))
+    if order == "descending":
+        values.reverse()
+    elif order == "random":
+        random.Random(15).shuffle(values)
+    check = StreamValidator(n, StreamMode.PERMUTATION)
+    for start in range(0, n, 100):
+        check.feed(values[start : start + 100])
+    assert check.violation() is None
+    assert (len(check._guard), check._far) == (n + 1, set())
+
+
+def test_an_instance_is_scanned_once(monkeypatch):
+    built = []
+
+    class CountingValidator(StreamValidator):
+        def __init__(self, n, mode):
+            built.append((n, mode))
+            super().__init__(n, mode)
+
+    monkeypatch.setattr(core, "StreamValidator", CountingValidator)
+    pattern = parse_pattern("312")
+    inst = StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 5, 2, 6, 4))
+    assert stream_violation(inst) is None
+    assert validate_stream(inst)
+    assert run_detector(inst, pattern).verdict
+    assert contains_bruteforce(inst, pattern) is not None
+    assert count_occurrences(inst, pattern) == 2
+    assert len(built) == 1
+    bad = StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 3))
+    for _ in range(2):
+        for call in (run_detector, contains_bruteforce, count_occurrences):
+            with pytest.raises(ValueError, match="^invalid stream: permutation mode requires"):
+                call(bad, pattern)
+    assert len(built) == 2
+    assert bad == StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 3))  # the verdict is not a field
 
 
 @pytest.mark.parametrize("n", [4 * 10**9, 10**15, 10**20])
@@ -359,6 +428,7 @@ MALFORMED = {
     # headers that overstate n: the guard must not be sized from the header
     "perm-count-huge-n": f"n={10**15} mode=perm\n3 1 2\n",
     "perm-count-n-past-an-index": f"n={10**20} mode=perm\n3 1 2\n",
+    "perm-count-huge-n-and-value": f"n={10**15} mode=perm\n{10**15} 1 2\n",
     "n-is-0": "n=0 mode=perm\n1 2\n",
     "missing-header": "# only a comment\n\n",
     "malformed-header": "n=200 mode=perm extra\n1 2\n",
@@ -422,6 +492,43 @@ def test_dispatch_warning_only_for_a_valid_stream(capsys):
     assert caught == []
     with pytest.warns(UserWarning, match="no sublinear sequence-mode detector"):
         assert detect(capsys, *argv, "--values", "9,7,8")[0] == 0
+
+
+# -- sparse streams: values far above the count read ------------------------------
+
+
+@pytest.mark.parametrize("pattern", ["12", "21"])
+@pytest.mark.parametrize("source", ["file", "stdin", "values"])
+@pytest.mark.parametrize("n", [10**15, 10**20])
+def test_sparse_stream_detect_agrees_with_the_oracle(
+    tmp_path, monkeypatch, capsys, n, source, pattern
+):
+    text = f"n={n} mode=seq\n{n} 1\n"
+    if source == "values":
+        argv = ["--values", f"{n},1", "--n", str(n), "--mode", "seq"]
+    elif source == "file":
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        argv = ["--input", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["--input", "-"]
+    code, report, err = detect(capsys, "--pattern", pattern, *argv, "--check", "--json")
+    assert (code, err) == (0, "")
+    assert report == expected_report(text, pattern, check=True)
+    assert report["verdict"] is (pattern == "21")
+
+
+@pytest.mark.parametrize("n", [10**15, 10**20])
+def test_sparse_stream_through_push(n):
+    for pattern, want in (("12", False), ("21", True)):
+        det = new_detector(parse_pattern(pattern), n, StreamMode.DISTINCT_SEQUENCE)
+        assert (det.push(n) or det.push(1) or det.finish().verdict) is want
+    det = new_detector(parse_pattern("12"), n, StreamMode.DISTINCT_SEQUENCE)
+    assert not det.push(n)
+    with pytest.raises(ValueError, match=f"^duplicate value {n}$"):
+        det.push(n)
+    assert len(det._validator._guard) == 1 and det._validator._far == {n}
 
 
 # -- detect: memory that does not grow with the stream ---------------------------
