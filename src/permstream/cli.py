@@ -137,13 +137,13 @@ def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    """One pass over the stream in chunks: validate every value, push until accept.
+    """One pass over the stream in chunks: validate every value, feed until accept.
 
     Values are range- and duplicate-checked once, by the validator, so the
-    detector takes them through ``_push_validated``.  After the accept the
-    rest of the stream is still read and validated, and a malformed stream
-    fails as a whole: its error wins over an unusable ``--detector`` and
-    over the dispatch warning, which is shown only for a valid stream.
+    detector is fed each valid chunk whole (``Detector._feed``).  After the
+    accept the rest of the stream is still read and validated; a malformed
+    stream fails as a whole: its error wins over an unusable ``--detector``
+    and over the dispatch warning, which is shown only for a valid stream.
     """
     pattern = _parse_pattern_arg(args.pattern)
     chunks = _stream_chunks(args)
@@ -157,19 +157,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 detector = new_detector(pattern, n, mode, args.detector)
         except ValueError as exc:  # the forced family cannot serve it
             unusable = UsageError(f"--detector {exc}")
-    push = detector._push_validated if detector is not None else None
+    feed = detector._feed if detector is not None else None
     kept: list[int] | None = [] if args.check else None
     accepted_at = None
     for values in chunks:
         check.feed(values)
         if kept is not None:
             kept += values
-        if push is not None and check.error is None:
-            for value in values:
-                if push(value):
-                    accepted_at = detector.pushes
-                    push = None
-                    break
+        if feed is not None and check.error is None and feed(values):
+            accepted_at = detector.pushes
+            feed = None
     _require_valid(check.violation())
     if unusable is not None:
         raise unusable
@@ -767,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("PERMSTREAM_JOBS", "1")),
-        help="worker processes (default: $PERMSTREAM_JOBS or 1)",
+        default=1,
+        help="worker processes (default: 1)",
     )
     p.add_argument("--replay-dir", help="directory for counterexample replay files")
     p.add_argument("--json", action="store_true")

@@ -142,9 +142,8 @@ class SplitInput:
     suffix: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        joined = sorted(self.prefix + self.suffix)
-        if joined != list(range(1, self.n + 1)):
-            raise ValueError("prefix and suffix must jointly form a permutation of 1..n")
+        whole = self.prefix + self.suffix
+        require_valid_stream(StreamInstance(self.n, StreamMode.PERMUTATION, whole))
 
 
 def split_protocol(split: SplitInput, pattern: Pattern) -> bool:

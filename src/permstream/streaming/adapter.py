@@ -1,18 +1,20 @@
 """Complement adapter: run a detector for pattern P to detect P's complement.
 
 A stream contains a pattern exactly when the complemented stream (v -> n+1-v)
-contains the complemented pattern.  The adapter complements each value on the
-way in and re-complements any reported witness values on the way out;
-positions pass through untouched.  It adds no storage of its own, so the
-inner detector's space telemetry and space bound are reported as-is, and its
-adversary is complemented like any stream.  Validation happens once,
-on the adapter's own push, so errors name the value the caller pushed and the
-inner detector never allocates a second duplicate guard.
+contains the complemented pattern.  The adapter feeds the inner detector each
+batch complemented lazily (nothing past the accept) and re-complements any
+reported witness values; positions and ``pushes`` pass through untouched.
+It adds no storage of its own, so the inner detector's space telemetry and
+space bound are reported as-is, and its adversary is complemented like any
+stream.  Validation happens once, on the adapter's own push, so errors name
+the value the caller pushed and the inner detector never allocates a second
+duplicate guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Iterable
 
 from ..core import Occurrence, classify_pattern, complement
 from .base import Detector, DetectorReport
@@ -26,16 +28,15 @@ class ComplementAdapter(Detector):
         super().__init__(pattern, inner.n, inner.mode)
         self.inner = inner
 
-    def _step(self, value: int) -> bool:
-        if self.inner._push_validated(self.n + 1 - value):
-            return self._accept(self._map_occurrence(self.inner.occurrence))
-        return False
+    def _feed(self, values: Iterable[int]) -> bool:
+        inner = self.inner
+        accepted = inner._feed(map((self.n + 1).__sub__, values))
+        self.pushes = inner.pushes
+        return accepted and self._accept(self._map_occurrence(inner.occurrence))
 
     def finish(self) -> DetectorReport:
-        if self._finished:
-            raise ValueError("finish called twice")
+        report = self.inner.finish()  # only the adapter finishes it: a second call raises
         self._finished = True
-        report = self.inner.finish()
         return replace(report, occurrence=self._map_occurrence(report.occurrence))
 
     def space_bound(self) -> tuple[str, float]:
@@ -49,7 +50,4 @@ class ComplementAdapter(Detector):
     def _map_occurrence(self, occ: Occurrence | None) -> Occurrence | None:
         if occ is None:
             return None
-        return Occurrence(
-            positions=occ.positions,
-            values=tuple(self.n + 1 - v for v in occ.values),
-        )
+        return Occurrence(positions=occ.positions, values=complement(occ.values, self.n))

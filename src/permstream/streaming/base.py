@@ -1,8 +1,9 @@
 """Shared detector machinery: the push/finish state machine and space metering.
 
-A detector consumes one value per :meth:`Detector.push` call and may *accept*
-(report that the pattern is present) at any push or at :meth:`Detector.finish`.
-Once accepted, a detector is latched: further pushes are no-ops that keep
+A detector steps through values in :meth:`Detector._feed`, one checked value
+from :meth:`Detector.push` or a validated batch, and may *accept* (report that
+the pattern is present) at any value or at :meth:`Detector.finish`.  Once
+accepted, a detector is latched: further pushes are no-ops that keep
 returning True.
 
 Space is metered in *cells*: one cell per stored value, per stored point, and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..core import Occurrence, Pattern, StreamMode, StreamValidator
 
@@ -81,13 +83,19 @@ class Detector:
         reason = self._validator.hold(value, self.pushes)
         if reason is not None:
             raise ValueError(reason)
-        self.pushes += 1
-        return self._step(value)
+        return self._feed((value,))
 
-    def _push_validated(self, value: int) -> bool:
-        """Feed one value a wrapping detector has already validated."""
-        self.pushes += 1
-        return self._step(value)
+    def _feed(self, values: Iterable[int]) -> bool:
+        """Step through validated ``values`` until the accept; True if it came.
+
+        The accepting value is value number ``pushes``; no later one is read.
+        """
+        step = self._step
+        for value in values:
+            self.pushes += 1
+            if step(value):
+                return True
+        return False
 
     def finish(self) -> DetectorReport:
         """Declare end of stream and collect the verdict and telemetry."""

@@ -145,15 +145,12 @@ def run_detector(
     """Validate the stream, feed it to the detector, and return the report.
 
     The instance keeps its verdict (it is scanned at most once), so the
-    values go in through ``_push_validated`` and the detector allocates no
-    duplicate guard of its own.  Stops pushing as soon as the detector
-    accepts (the streaming early exit).
+    values go in through ``Detector._feed`` in one batch and the detector
+    allocates no duplicate guard of its own.  Feeding stops at the accept
+    (the streaming early exit).
     """
     require_valid_stream(inst)
     if detector is None:
         detector = new_detector(pattern, inst.n, inst.mode)
-    push = detector._push_validated
-    for value in inst.elements:
-        if push(value):
-            break
+    detector._feed(inst.elements)
     return detector.finish()

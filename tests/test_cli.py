@@ -274,6 +274,14 @@ def test_fuzz_exhaustive_runs_in_parallel(monkeypatch, capsys):
     assert pools == [2]
 
 
+def test_no_environment_variable_reaches_the_parser(monkeypatch, capsys):
+    # --jobs is the only way to set the worker count
+    monkeypatch.setenv("PERMSTREAM_JOBS", "auto")
+    assert run_cli("detect", "--pattern", "12", "--values", "2,1", "--n", "2") == 0
+    assert "AVOIDED" in capsys.readouterr().out
+    assert build_parser().parse_args(["fuzz", "--pattern", "12", "--n", "3"]).jobs == 1
+
+
 def test_replay_file_round_trips(tmp_path):
     record = {
         "trial": 7,

@@ -156,6 +156,15 @@ def test_split_input_must_be_a_permutation():
         SplitInput(n=3, prefix=(1, 1), suffix=(2,))
     with pytest.raises(ValueError):
         SplitInput(n=4, prefix=(1, 2), suffix=(3,))
+    # the one validation boundary: n >= 1 and int values only
+    for n, prefix, suffix in (
+        (0, (), ()),
+        (2, (1,), (2.0,)),
+        (2, (True,), (2,)),
+        (2, (1,), ("2",)),
+    ):
+        with pytest.raises(ValueError):
+            SplitInput(n=n, prefix=prefix, suffix=suffix)
 
 
 def test_split_matches_oracle_on_all_small_inputs():
