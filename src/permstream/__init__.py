@@ -15,112 +15,95 @@ pattern?" three ways, each serving as a check on the others:
   hardness from a pattern to its one-value extensions.
 
 :mod:`permstream.cli` wires these into the ``permstream`` command.
+
+The names below are re-exported lazily (PEP 562): each loads its module on
+first use, so ``import permstream`` alone loads none of them, and a run of
+``permstream detect`` loads neither the oracle nor the generators.
 """
 
-from .core import (
-    Occurrence,
-    Pattern,
-    PatternKind,
-    StreamInstance,
-    StreamMode,
-    classify_pattern,
-    complement,
-    format_stream_text,
-    is_order_isomorphic,
-    parse_pattern,
-    parse_stream_text,
-    rank_normalize,
-    read_stream_file,
-    reverse,
-    stream_violation,
-    validate_stream,
-    write_stream_file,
-)
-from .hardgen import (
-    DisjInstance,
-    Segment,
-    extend_stream,
-    extend_stream_iter,
-    gen_3142_2143,
-    gen_4312,
-    gen_monotone_lb,
-    gen_pi4_front,
-    gen_seq312,
-    random_subsets,
-)
-from .oracle import (
-    SplitInput,
-    contains_bruteforce,
-    count_occurrences,
-    occurrence_is_valid,
-    split_protocol,
-    subsequence_pattern,
-)
-from .streaming import (
-    BaselineDetector,
-    ComplementAdapter,
-    Detector,
-    Detector231,
-    Detector312,
-    DetectorReport,
-    InvariantViolation,
-    MonotoneDetector,
-    TrivialRejectDetector,
-    bits_per_cell,
-    default_window,
-    new_detector,
-    replay_312_with_invariants,
-    run_detector,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineDetector",
-    "ComplementAdapter",
-    "Detector",
-    "Detector231",
-    "Detector312",
-    "DetectorReport",
-    "DisjInstance",
-    "InvariantViolation",
-    "MonotoneDetector",
-    "Occurrence",
-    "Pattern",
-    "PatternKind",
-    "Segment",
-    "SplitInput",
-    "StreamInstance",
-    "StreamMode",
-    "TrivialRejectDetector",
-    "bits_per_cell",
-    "classify_pattern",
-    "complement",
-    "default_window",
-    "contains_bruteforce",
-    "count_occurrences",
-    "extend_stream",
-    "extend_stream_iter",
-    "format_stream_text",
-    "gen_3142_2143",
-    "gen_4312",
-    "gen_monotone_lb",
-    "gen_pi4_front",
-    "gen_seq312",
-    "is_order_isomorphic",
-    "new_detector",
-    "occurrence_is_valid",
-    "parse_pattern",
-    "parse_stream_text",
-    "random_subsets",
-    "rank_normalize",
-    "read_stream_file",
-    "replay_312_with_invariants",
-    "reverse",
-    "run_detector",
-    "split_protocol",
-    "stream_violation",
-    "subsequence_pattern",
-    "validate_stream",
-    "write_stream_file",
-]
+
+def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 hooks that load each name of ``exports`` from its submodule.
+
+    ``exports`` maps a submodule of the package whose ``namespace`` is given
+    to the names it defines.  Returns ``(__getattr__, __dir__, __all__)``;
+    a name, once loaded, is kept in ``namespace`` so later lookups skip the
+    hook.
+    """
+    package = namespace["__name__"]
+    module_of = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{package}.{module}"), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *module_of})
+
+    return __getattr__, __dir__, sorted(module_of)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    "core": (
+        "Occurrence",
+        "Pattern",
+        "PatternKind",
+        "StreamInstance",
+        "StreamMode",
+        "classify_pattern",
+        "complement",
+        "format_stream_text",
+        "is_order_isomorphic",
+        "parse_pattern",
+        "parse_stream_text",
+        "rank_normalize",
+        "read_stream_file",
+        "reverse",
+        "stream_violation",
+        "validate_stream",
+        "write_stream_file",
+    ),
+    "hardgen": (
+        "DisjInstance",
+        "Segment",
+        "extend_stream",
+        "extend_stream_iter",
+        "gen_3142_2143",
+        "gen_4312",
+        "gen_monotone_lb",
+        "gen_pi4_front",
+        "gen_seq312",
+        "random_subsets",
+    ),
+    "oracle": (
+        "SplitInput",
+        "contains_bruteforce",
+        "count_occurrences",
+        "occurrence_is_valid",
+        "split_protocol",
+        "subsequence_pattern",
+    ),
+    "streaming": (
+        "BaselineDetector",
+        "ComplementAdapter",
+        "Detector",
+        "Detector231",
+        "Detector312",
+        "DetectorReport",
+        "InvariantViolation",
+        "MonotoneDetector",
+        "TrivialRejectDetector",
+        "bits_per_cell",
+        "default_window",
+        "new_detector",
+        "replay_312_with_invariants",
+        "run_detector",
+    ),
+})

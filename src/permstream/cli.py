@@ -19,33 +19,29 @@ import random
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, islice, permutations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
     Pattern,
     StreamInstance,
     StreamMode,
     StreamValidator,
+    checked_instance,
     collect_stream,
     format_stream_text,
     iter_stream_text,
     parse_pattern,
     stream_violation,
 )
-from .hardgen import (
-    DisjInstance,
-    extend_stream,
-    gen_3142_2143,
-    gen_4312,
-    gen_monotone_lb,
-    gen_pi4_front,
-    gen_seq312,
-    random_subsets,
-)
-from .oracle import SplitInput, contains_bruteforce, count_occurrences, split_protocol
-from .streaming import FAMILIES, bits_per_cell, new_detector, run_detector
+from .streaming.base import bits_per_cell
+from .streaming.dispatch import FAMILIES, new_detector, run_detector
+
+if TYPE_CHECKING:
+    from .hardgen import DisjInstance
+
+# The oracle, the generators and the process pool are imported by the
+# subcommands that use them, so that ``detect`` loads none of them.
 
 SCHEMA_VERSION = 1
 
@@ -177,7 +173,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     agree = None
     oracle_verdict = None
     if kept is not None:
-        inst = StreamInstance(n=n, mode=mode, elements=tuple(kept))
+        from .oracle import contains_bruteforce
+
+        inst = checked_instance(check, tuple(kept))  # validated above: not scanned again
         oracle_verdict = contains_bruteforce(inst, pattern) is not None
         agree = oracle_verdict == rep.verdict
 
@@ -224,6 +222,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import SplitInput, contains_bruteforce, count_occurrences, split_protocol
+
     pattern = _parse_pattern_arg(args.pattern)
     inst = _checked_stream(_stream_chunks(args))
     occ = contains_bruteforce(inst, pattern)
@@ -301,6 +301,8 @@ def _build_construction(
     also: tuple[str, ...] = (),
 ) -> DisjInstance:
     """The named construction; ``also`` lists the caller's other names."""
+    from .hardgen import gen_3142_2143, gen_4312, gen_pi4_front, gen_seq312
+
     try:
         if construction == "seq312":
             return gen_seq312(n_sets, s, t)
@@ -336,6 +338,8 @@ Outputs = list[tuple[str, str]]  # (suffix to --out, stream text)
 def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if not args.input:
         raise UsageError("extend needs --input FILE")
+    from .hardgen import extend_stream
+
     source = _checked_stream(_file_chunks(args.input))
     out = extend_stream(source)
     text = format_stream_text(
@@ -348,6 +352,8 @@ def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
 def _gen_monotone_lb(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.k is None or args.n is None or not args.rho:
         raise UsageError("monotone-lb needs --k, --n, and --rho")
+    from .hardgen import gen_monotone_lb
+
     rho = tuple(sorted(_parse_int_set(args.rho, "--rho")))
     sigma = tuple(sorted(_parse_int_set(args.sigma, "--sigma"))) if args.sigma else None
     try:
@@ -377,6 +383,8 @@ def _gen_disjointness(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.nsets is None:
         raise UsageError(f"{args.construction} needs --nsets")
     if args.random_sets:
+        from .hardgen import random_subsets
+
         rng = random.Random(args.seed)
         s, t = random_subsets(args.nsets, rng)
     else:
@@ -433,6 +441,8 @@ def _random_perm(seed: int, trial: int, n: int) -> tuple[int, ...]:
 
 def _perm_trial(payload: tuple[int, str, tuple[int, ...]]) -> dict | None:
     """One permutation trial; returns a disagreement record or None."""
+    from .oracle import contains_bruteforce
+
     trial, pattern_text, tau = payload
     pattern = parse_pattern(pattern_text)
     inst = StreamInstance(n=len(tau), mode=StreamMode.PERMUTATION, elements=tau)
@@ -454,6 +464,8 @@ def _perm_trial(payload: tuple[int, str, tuple[int, ...]]) -> dict | None:
 
 def _construction_trial(payload: tuple[int, str, int, frozenset, frozenset]) -> dict | None:
     """One construction trial on given subsets (iff-check plus baseline stress)."""
+    from .oracle import contains_bruteforce
+
     trial, construction, nsets, s, t = payload
     disj = _build_construction(construction, nsets, s, t)
     oracle_verdict = contains_bruteforce(disj.stream, disj.pattern) is not None
@@ -505,6 +517,8 @@ def _run_trials(worker, payloads: Iterator, jobs: int) -> Iterator:
     if jobs <= 1:
         yield from map(worker, payloads)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         while batch := list(islice(payloads, _TRIAL_BATCH)):
             yield from pool.map(worker, batch, chunksize=16)
@@ -556,6 +570,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             universe = range(1, args.nsets + 1)
             pairs = ((s, t) for s in _powerset(universe) for t in _powerset(universe))
         else:
+            from .hardgen import random_subsets
+
             pairs = (
                 random_subsets(args.nsets, random.Random(_trial_seed(args.seed, t)))
                 for t in range(args.trials)

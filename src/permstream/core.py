@@ -31,9 +31,43 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence, TextIO
+
+
+class Frozen:
+    """Base of the immutable value types: compared, hashed and shown by ``_fields``.
+
+    A subclass lists its fields in ``__slots__`` and ``_fields`` and sets them
+    in ``__init__`` with ``object.__setattr__``; assigning one later raises
+    AttributeError.  Equality needs the same class and equal fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class StreamMode(enum.Enum):
@@ -59,8 +93,7 @@ class PatternKind(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Frozen):
     """A pattern permutation together with its dispatch classification.
 
     Build instances through :func:`classify_pattern` or :func:`parse_pattern`;
@@ -68,17 +101,20 @@ class Pattern:
     and that ``kind`` matches.
     """
 
+    __slots__ = _fields = ("values", "kind")
     values: tuple[int, ...]
     kind: PatternKind
 
-    def __post_init__(self) -> None:
-        k = len(self.values)
+    def __init__(self, values: tuple[int, ...], kind: PatternKind) -> None:
+        k = len(values)
         if k == 0:
             raise ValueError("pattern must have at least one value")
-        if sorted(self.values) != list(range(1, k + 1)):
-            raise ValueError(f"pattern {self.values} is not a permutation of 1..{k}")
-        if self.kind is not _kind_of(self.values):
-            raise ValueError(f"pattern {self.values} has kind {_kind_of(self.values)}, not {self.kind}")
+        if sorted(values) != list(range(1, k + 1)):
+            raise ValueError(f"pattern {values} is not a permutation of 1..{k}")
+        if kind is not _kind_of(values):
+            raise ValueError(f"pattern {values} has kind {_kind_of(values)}, not {kind}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -136,8 +172,7 @@ def parse_pattern(text: str) -> Pattern:
     return classify_pattern(values)
 
 
-@dataclass(frozen=True)
-class StreamInstance:
+class StreamInstance(Frozen):
     """A concrete stream: universe size, mode, and the values in order.
 
     The constructor is permissive so that malformed candidate streams can be
@@ -146,15 +181,26 @@ class StreamInstance:
     once, on the first such call, and keeps its verdict outside eq and hash.
     """
 
+    __slots__ = ("n", "mode", "elements", "_verdict")
+    _fields = ("n", "mode", "elements")
     n: int
     mode: StreamMode
     elements: tuple[int, ...]
 
+    def __init__(self, n: int, mode: StreamMode, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "elements", elements)
+
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @property
     def _violation(self) -> str | None:
+        try:
+            return self._verdict
+        except AttributeError:
+            pass
         check = StreamValidator(self.n, self.mode)
         elements = self.elements
         for pos, value in enumerate(elements):
@@ -165,7 +211,19 @@ class StreamInstance:
         else:
             check.feed(elements)
         check.count = len(elements)
-        return check.violation()
+        verdict = check.violation()
+        object.__setattr__(self, "_verdict", verdict)
+        return verdict
+
+
+def checked_instance(check: StreamValidator, elements: tuple[int, ...]) -> StreamInstance:
+    """The instance of the ``elements`` that ``check`` was fed, with its verdict.
+
+    The values are not scanned again: the validator has seen each of them.
+    """
+    inst = StreamInstance(check.n, check.mode, elements)
+    object.__setattr__(inst, "_verdict", check.violation())
+    return inst
 
 
 #: the guard's bytearray takes each value up to the floor, and a larger one while
@@ -278,8 +336,7 @@ def require_valid_stream(inst: StreamInstance) -> None:
         raise ValueError(f"invalid stream: {inst._violation}")
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Frozen):
     """A witness that a stream contains a pattern.
 
     ``positions`` are 1-based stream indices, strictly increasing.  The final
@@ -289,19 +346,22 @@ class Occurrence:
     ``None``.
     """
 
+    __slots__ = _fields = ("positions", "values")
     positions: tuple[int | None, ...]
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.values):
+    def __init__(self, positions: tuple[int | None, ...], values: tuple[int, ...]) -> None:
+        if len(positions) != len(values):
             raise ValueError("positions and values must have equal length")
-        known = [p for p in self.positions if p is not None]
-        if None in self.positions[:-1]:
+        known = [p for p in positions if p is not None]
+        if None in positions[:-1]:
             raise ValueError("only the final position may be a future marker")
         if any(b <= a for a, b in zip(known, known[1:])):
-            raise ValueError(f"positions must be strictly increasing, got {self.positions}")
-        if any(p is not None and p < 1 for p in self.positions):
+            raise ValueError(f"positions must be strictly increasing, got {positions}")
+        if any(p is not None and p < 1 for p in positions):
             raise ValueError("positions are 1-based")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
 
     @property
     def has_future(self) -> bool:

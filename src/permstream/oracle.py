@@ -9,11 +9,11 @@ hundred for containment, smaller for exact counting) are the intended range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from .core import (
+    Frozen,
     Occurrence,
     Pattern,
     StreamInstance,
@@ -130,20 +130,22 @@ def occurrence_is_valid(
     return True
 
 
-@dataclass(frozen=True)
-class SplitInput:
+class SplitInput(Frozen):
     """A stream cut in two: Alice holds the prefix, Bob the suffix.
 
     Together the halves must form a permutation of [1..n].
     """
 
+    __slots__ = _fields = ("n", "prefix", "suffix")
     n: int
     prefix: tuple[int, ...]
     suffix: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        whole = self.prefix + self.suffix
-        require_valid_stream(StreamInstance(self.n, StreamMode.PERMUTATION, whole))
+    def __init__(self, n: int, prefix: tuple[int, ...], suffix: tuple[int, ...]) -> None:
+        require_valid_stream(StreamInstance(n, StreamMode.PERMUTATION, prefix + suffix))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "suffix", suffix)
 
 
 def split_protocol(split: SplitInput, pattern: Pattern) -> bool:

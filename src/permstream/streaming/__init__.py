@@ -1,29 +1,19 @@
-"""Streaming detectors for permutation pattern matching."""
+"""Streaming detectors for permutation pattern matching.
 
-from .adapter import ComplementAdapter
-from .base import Detector, DetectorReport, bits_per_cell
-from .baseline import BaselineDetector, TrivialRejectDetector
-from .dispatch import FAMILIES, new_detector, run_detector
-from .invariants import InvariantViolation, replay_312_with_invariants
-from .monotone import MonotoneDetector
-from .strips231 import Detector231, contains_213
-from .window312 import Detector312, default_window
+The names below are re-exported lazily (PEP 562), so importing one detector
+module, or :mod:`.dispatch`, does not load the rest, such as
+:mod:`.invariants`.
+"""
 
-__all__ = [
-    "FAMILIES",
-    "BaselineDetector",
-    "ComplementAdapter",
-    "Detector",
-    "Detector231",
-    "Detector312",
-    "DetectorReport",
-    "InvariantViolation",
-    "MonotoneDetector",
-    "TrivialRejectDetector",
-    "bits_per_cell",
-    "contains_213",
-    "default_window",
-    "new_detector",
-    "replay_312_with_invariants",
-    "run_detector",
-]
+from .. import _lazy_exports
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    "adapter": ("ComplementAdapter",),
+    "base": ("Detector", "DetectorReport", "bits_per_cell"),
+    "baseline": ("BaselineDetector", "TrivialRejectDetector"),
+    "dispatch": ("FAMILIES", "new_detector", "run_detector"),
+    "invariants": ("InvariantViolation", "replay_312_with_invariants"),
+    "monotone": ("MonotoneDetector",),
+    "strips231": ("Detector231", "contains_213"),
+    "window312": ("Detector312", "default_window"),
+})

@@ -13,7 +13,6 @@ duplicate guard.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from ..core import Occurrence, classify_pattern, complement
@@ -37,7 +36,13 @@ class ComplementAdapter(Detector):
     def finish(self) -> DetectorReport:
         report = self.inner.finish()  # only the adapter finishes it: a second call raises
         self._finished = True
-        return replace(report, occurrence=self._map_occurrence(report.occurrence))
+        return DetectorReport(
+            report.verdict,
+            self._map_occurrence(report.occurrence),
+            report.peak_cells,
+            report.peak_bits,
+            report.structure_peaks,
+        )
 
     def space_bound(self) -> tuple[str, float]:
         return self.inner.space_bound()

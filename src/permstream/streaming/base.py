@@ -24,21 +24,36 @@ every push allocates nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..core import Occurrence, Pattern, StreamMode, StreamValidator
+from ..core import Frozen, Occurrence, Pattern, StreamMode, StreamValidator
 
 
-@dataclass(frozen=True)
-class DetectorReport:
+class DetectorReport(Frozen):
     """Final verdict plus the space telemetry gathered during the run."""
 
+    __slots__ = _fields = ("verdict", "occurrence", "peak_cells", "peak_bits", "structure_peaks")
     verdict: bool
     occurrence: Occurrence | None
     peak_cells: int
     peak_bits: int
-    structure_peaks: dict[str, int] = field(default_factory=dict)
+    structure_peaks: dict[str, int]
+
+    def __init__(
+        self,
+        verdict: bool,
+        occurrence: Occurrence | None,
+        peak_cells: int,
+        peak_bits: int,
+        structure_peaks: dict[str, int] | None = None,
+    ) -> None:
+        if structure_peaks is None:
+            structure_peaks = {}
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "occurrence", occurrence)
+        object.__setattr__(self, "peak_cells", peak_cells)
+        object.__setattr__(self, "peak_bits", peak_bits)
+        object.__setattr__(self, "structure_peaks", structure_peaks)
 
 
 def bits_per_cell(n: int) -> int:

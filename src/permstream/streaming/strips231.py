@@ -42,13 +42,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 
 from ..core import StreamMode, classify_pattern
 from .base import Detector
 
 
-@dataclass(slots=True)
 class StripRecord:
     """Counters summarizing one closed strip (complemented value space).
 
@@ -61,12 +59,23 @@ class StripRecord:
     each later strip closes.
     """
 
-    gap_lo: int | None
-    gap_hi: int | None
-    seen: int
-    low: int
-    high_after: int | None
-    seen_above: int
+    __slots__ = ("gap_lo", "gap_hi", "seen", "low", "high_after", "seen_above")
+
+    def __init__(
+        self,
+        gap_lo: int | None,
+        gap_hi: int | None,
+        seen: int,
+        low: int,
+        high_after: int | None,
+        seen_above: int,
+    ) -> None:
+        self.gap_lo = gap_lo
+        self.gap_hi = gap_hi
+        self.seen = seen
+        self.low = low
+        self.high_after = high_after
+        self.seen_above = seen_above
 
     def fold(self, ordered: list[int]) -> None:
         """Count the sorted values of a later strip."""

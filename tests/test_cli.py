@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from permstream import parse_pattern, read_stream_file
-from permstream import cli
+from permstream import cli, core
 from permstream.cli import _write_replay, build_parser, main
 
 
@@ -40,6 +40,23 @@ def test_detect_inline_values(capsys):
     assert rep["agree"] is True
     assert rep["occurrence"] == {"positions": [1, 2, 3], "values": [3, 1, 2]}
     assert rep["detector"] == "Detector312"
+
+
+@pytest.mark.parametrize("pattern, values", [("312", "3,1,2,4"), ("213", "1,3,2,4")])
+def test_an_instance_is_scanned_once(pattern, values, monkeypatch, capsys):
+    # detect --check hands the oracle the verdict of its own streamed check
+    built = []
+    init = core.StreamValidator.__init__
+
+    def counting_init(self, n, mode):
+        built.append(n)
+        init(self, n, mode)
+
+    monkeypatch.setattr(core.StreamValidator, "__init__", counting_init)
+    argv = ("detect", "--pattern", pattern, "--values", values, "--n", "4", "--check")
+    assert run_cli(*argv) == 0
+    assert "oracle cross-check: agree" in capsys.readouterr().out
+    assert built == [4]
 
 
 def test_detect_reports_avoidance(capsys):
@@ -257,14 +274,17 @@ def test_fuzz_lists_only_the_constructions_it_takes(construction, capsys):
 
 
 def test_fuzz_exhaustive_runs_in_parallel(monkeypatch, capsys):
+    import concurrent.futures
+
     pools = []
 
-    class Pool(cli.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    # _run_trials imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     argv = ["fuzz", "--pattern", "132", "--n", "6", "--exhaustive", "--json"]
     assert run_cli(*argv, "--jobs", "1") == 0
     serial = json_out(capsys)
