@@ -95,13 +95,18 @@ def _check_sets(n_sets: int, s: Iterable[int], t: Iterable[int]) -> tuple[frozen
     return fs, ft
 
 
-def _segments(*parts: tuple[str, int]) -> tuple[Segment, ...]:
-    out = []
-    at = 1
-    for owner, length in parts:
-        out.append(Segment(owner, at, at + length - 1))
-        at += length
-    return tuple(out)
+def _assemble(
+    pattern: Pattern, n_sets: int, s: frozenset[int], t: frozenset[int], n: int,
+    mode: StreamMode, *runs: tuple[str, list[int]],
+) -> DisjInstance:
+    """The instance whose stream is the ``(owner, run)`` pairs' runs in order."""
+    elements: list[int] = []
+    segments = []
+    for owner, run in runs:
+        segments.append(Segment(owner, len(elements) + 1, len(elements) + len(run)))
+        elements += run
+    stream = StreamInstance(n=n, mode=mode, elements=tuple(elements))
+    return DisjInstance(pattern, n_sets, s, t, stream, tuple(segments))
 
 
 def gen_seq312(n_sets: int, s: Iterable[int], t: Iterable[int]) -> DisjInstance:
@@ -117,18 +122,9 @@ def gen_seq312(n_sets: int, s: Iterable[int], t: Iterable[int]) -> DisjInstance:
     for i in sorted(fs):
         alice.extend((3 * i, 3 * i - 2))
     bob = [3 * i - 1 for i in sorted(ft, reverse=True)]
-    stream = StreamInstance(
-        n=3 * n_sets,
-        mode=StreamMode.DISTINCT_SEQUENCE,
-        elements=tuple(alice + bob),
-    )
-    return DisjInstance(
-        pattern=classify_pattern((3, 1, 2)),
-        n_sets=n_sets,
-        s=fs,
-        t=ft,
-        stream=stream,
-        segments=_segments(("alice", len(alice)), ("bob", len(bob))),
+    return _assemble(
+        classify_pattern((3, 1, 2)), n_sets, fs, ft, 3 * n_sets, StreamMode.DISTINCT_SEQUENCE,
+        ("alice", alice), ("bob", bob),
     )
 
 
@@ -160,16 +156,8 @@ def gen_pi4_front(
         base = 4 * (d - 1)
         first, second = (p[2], p[3]) if d in ft else (p[3], p[2])
         bob.extend((base + first, base + second))
-    stream = StreamInstance(
-        n=4 * n_sets, mode=StreamMode.PERMUTATION, elements=tuple(alice + bob)
-    )
-    return DisjInstance(
-        pattern=pattern,
-        n_sets=n_sets,
-        s=fs,
-        t=ft,
-        stream=stream,
-        segments=_segments(("alice", len(alice)), ("bob", len(bob))),
+    return _assemble(
+        pattern, n_sets, fs, ft, 4 * n_sets, StreamMode.PERMUTATION, ("alice", alice), ("bob", bob)
     )
 
 
@@ -193,18 +181,9 @@ def gen_4312(n_sets: int, s: Iterable[int], t: Iterable[int]) -> DisjInstance:
         pair = (base + 3, base + 1) if i in ft else (base + 1, base + 3)
         bob.extend(pair)
     alice2 = [3 * (i - 1) + 2 for i in sorted(fs, reverse=True)]
-    stream = StreamInstance(
-        n=top, mode=StreamMode.PERMUTATION, elements=tuple(alice1 + bob + alice2)
-    )
-    return DisjInstance(
-        pattern=classify_pattern((4, 3, 1, 2)),
-        n_sets=n_sets,
-        s=fs,
-        t=ft,
-        stream=stream,
-        segments=_segments(
-            ("alice", len(alice1)), ("bob", len(bob)), ("alice", len(alice2))
-        ),
+    return _assemble(
+        classify_pattern((4, 3, 1, 2)), n_sets, fs, ft, top, StreamMode.PERMUTATION,
+        ("alice", alice1), ("bob", bob), ("alice", alice2),
     )
 
 
@@ -237,18 +216,9 @@ def gen_3142_2143(
     alice2 = [
         4 * (i - 1) + (p[3] if i in fs else p[0]) for i in range(1, n_sets + 1)
     ]
-    stream = StreamInstance(
-        n=4 * n_sets, mode=StreamMode.PERMUTATION, elements=tuple(alice1 + bob + alice2)
-    )
-    return DisjInstance(
-        pattern=pattern,
-        n_sets=n_sets,
-        s=fs,
-        t=ft,
-        stream=stream,
-        segments=_segments(
-            ("alice", len(alice1)), ("bob", len(bob)), ("alice", len(alice2))
-        ),
+    return _assemble(
+        pattern, n_sets, fs, ft, 4 * n_sets, StreamMode.PERMUTATION,
+        ("alice", alice1), ("bob", bob), ("alice", alice2),
     )
 
 

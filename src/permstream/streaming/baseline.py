@@ -53,10 +53,11 @@ class BaselineDetector(Detector):
 
     def _step(self, value: int) -> bool:
         self._buffer.append(value)
-        self._note_space(len(self._buffer), len(self._buffer))
         return False
 
     def _end_check(self) -> bool:
+        # the buffer only grows, so its size at the end is its peak
+        self._note_space(len(self._buffer), len(self._buffer))
         found = first_occurrence(self._buffer, self.pattern.values)
         if found is None:
             return False

@@ -8,7 +8,8 @@ import pytest
 
 from permstream import parse_pattern, read_stream_file
 from permstream import cli, core
-from permstream.cli import _write_replay, build_parser, main
+from permstream.cli import build_parser, main
+from permstream.tools import _write_replay
 
 
 def run_cli(*argv: str) -> int:
@@ -364,6 +365,25 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+def test_module_entry_runs_the_lab_subcommands():
+    # Under -m, cli runs as __main__ and tools imports it by name: a second
+    # copy of cli would raise a UsageError that main does not catch.
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "permstream.cli", *argv], capture_output=True, text=True
+        )
+
+    proc = run("gen", "--construction", "bogus", "--nsets", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: unknown construction 'bogus' (expected seq312, front4:<pattern>, "
+        "4312, 3142, 2143, monotone-lb, or extend)\n"
+    )
+    proc = run("fuzz", "--pattern", "21", "--n", "4", "--exhaustive", "--jobs", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "fuzz pattern 21: 24 trials, no disagreements\n"
 
 
 def test_missing_subcommand_exits_2():

@@ -1,8 +1,9 @@
 """What ``permstream detect`` imports, and the lazy re-exports that keep it small.
 
-The oracle, the generators, the invariant replay and the process pool are
-loaded only by the subcommands that use them; the package namespaces resolve
-their re-exports on first use (PEP 562).
+The lab subcommands' module ``permstream.tools``, with the oracle and the
+generators it imports, the invariant replay and the process pool are loaded
+only by the subcommands that use them; the package namespaces resolve their
+re-exports on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import permstream.streaming
 
 #: modules that ``detect`` without ``--check`` never uses
 NOT_ON_DETECT_PATH = (
+    "permstream.tools",
     "permstream.hardgen",
     "permstream.oracle",
     "permstream.streaming.invariants",
