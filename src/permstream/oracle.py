@@ -1,16 +1,18 @@
 """Brute-force reference semantics: containment, counting, and the split protocol.
 
 Everything here favours obvious correctness over speed.  The detectors in
-:mod:`permstream.streaming` are validated against these functions, so they
-deliberately share no code with them (``tests/test_baseline.py`` checks
-that no detector module imports this one).  Desk-scale inputs (n up to a few
-hundred for containment, smaller for exact counting) are the intended range.
+:mod:`permstream.streaming` are validated against these functions, so the two
+share no code: no detector module imports this one and this one imports no
+detector module (``tests/test_baseline.py`` checks both).  Containment and
+counting are one exhaustive search, still ``O(m^k)`` in the worst case, so
+desk-scale inputs (n up to a few hundred for containment, smaller for exact
+counting) are the intended range.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Frozen,
@@ -25,82 +27,73 @@ from .core import (
 )
 
 
-def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | None:
-    """Search for the lexicographically smallest occurrence of ``pattern``.
+def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, ...]]:
+    """Yield the 0-based index tuple of every occurrence of ``pattern``.
 
-    Position tuples are compared left to right, so the returned occurrence is
-    the first one found by a depth-first search that always advances the
-    earliest undecided position.  Returns None when the stream avoids the
-    pattern.
+    The caller has validated ``inst``.  The search fills pattern slots left to
+    right and tries each slot's positions in increasing order, so the tuples
+    come out in lexicographic order.  The values chosen for slots 0..d-1 are
+    order-isomorphic to the pattern's first d values, so the values slot d may
+    take form one open interval (lo, hi), fixed when the search enters the
+    slot: lo is the largest chosen value the pattern puts below slot d (0 if
+    none), hi the smallest chosen value it puts above (n + 1 if none).  Each
+    candidate then costs one chained comparison.
+    """
+    values, pat = inst.elements, pattern.values
+    k, m = len(pat), len(values)
+    # chosen[k] and chosen[k + 1] are the two sentinels the bounds fall back to
+    chosen = [0] * k + [0, inst.n + 1]
+    # Slot d's bounds come from the earlier slot holding the next pattern
+    # value below pat[d] and the one holding the next value above it.
+    low: list[int] = []
+    high: list[int] = []
+    for d in range(k):
+        below = [j for j in range(d) if pat[j] < pat[d]]
+        above = [j for j in range(d) if pat[j] > pat[d]]
+        low.append(max(below, key=pat.__getitem__, default=k))
+        high.append(min(above, key=pat.__getitem__, default=k + 1))
+    index = [0] * k
+
+    def search(depth: int, start: int) -> Iterator[tuple[int, ...]]:
+        lo, hi = chosen[low[depth]], chosen[high[depth]]
+        # m - k + depth is the last index leaving room to finish.
+        for idx in range(start, m - k + depth + 1):
+            v = values[idx]
+            if lo < v < hi:
+                index[depth] = idx
+                if depth == k - 1:
+                    yield tuple(index)
+                else:
+                    chosen[depth] = v
+                    yield from search(depth + 1, idx + 1)
+
+    return search(0, 0)
+
+
+def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | None:
+    """The lexicographically smallest occurrence of ``pattern``, or None.
+
+    Position tuples are compared left to right; this is the first tuple the
+    shared search yields.
     """
     require_valid_stream(inst)
-    values = inst.elements
-    pat = pattern.values
-    k = len(pat)
-    m = len(values)
-    if k > m:
+    first = next(_occurrences(inst, pattern), None)
+    if first is None:
         return None
-
-    # For the value at pattern slot d, which earlier slots must sit below it
-    # and which above it.
-    below = [[j for j in range(d) if pat[j] < pat[d]] for d in range(k)]
-    above = [[j for j in range(d) if pat[j] > pat[d]] for d in range(k)]
-
-    chosen_pos: list[int] = []
-    chosen_val: list[int] = []
-
-    def extend(depth: int, start: int) -> bool:
-        if depth == k:
-            return True
-        # m - (k - depth) is the last index leaving room to finish.
-        for idx in range(start, m - (k - depth) + 1):
-            v = values[idx]
-            if all(chosen_val[j] < v for j in below[depth]) and all(
-                chosen_val[j] > v for j in above[depth]
-            ):
-                chosen_pos.append(idx + 1)
-                chosen_val.append(v)
-                if extend(depth + 1, idx + 1):
-                    return True
-                chosen_pos.pop()
-                chosen_val.pop()
-        return False
-
-    if extend(0, 0):
-        return Occurrence(positions=tuple(chosen_pos), values=tuple(chosen_val))
-    return None
+    values = inst.elements
+    return Occurrence(
+        positions=tuple(i + 1 for i in first), values=tuple(values[i] for i in first)
+    )
 
 
 def count_occurrences(inst: StreamInstance, pattern: Pattern) -> int:
     """Exact number of occurrences of ``pattern`` in the stream.
 
-    Enumerates every order-isomorphic subsequence, so the cost grows like
-    C(len(stream), len(pattern)); keep inputs desk-scale.
+    Enumerates every occurrence through the same search, so the cost grows
+    like C(len(stream), len(pattern)); keep inputs desk-scale.
     """
     require_valid_stream(inst)
-    values = inst.elements
-    pat = pattern.values
-    k = len(pat)
-    m = len(values)
-    below = [[j for j in range(d) if pat[j] < pat[d]] for d in range(k)]
-    above = [[j for j in range(d) if pat[j] > pat[d]] for d in range(k)]
-    chosen_val: list[int] = []
-
-    def count_from(depth: int, start: int) -> int:
-        if depth == k:
-            return 1
-        total = 0
-        for idx in range(start, m - (k - depth) + 1):
-            v = values[idx]
-            if all(chosen_val[j] < v for j in below[depth]) and all(
-                chosen_val[j] > v for j in above[depth]
-            ):
-                chosen_val.append(v)
-                total += count_from(depth + 1, idx + 1)
-                chosen_val.pop()
-        return total
-
-    return count_from(0, 0)
+    return sum(1 for _ in _occurrences(inst, pattern))
 
 
 def occurrence_is_valid(

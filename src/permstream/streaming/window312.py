@@ -32,7 +32,7 @@ unread window value eventually arriving.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 
 from ..core import Occurrence, StreamMode, classify_pattern
 from .base import Detector
@@ -110,12 +110,13 @@ class Detector312(Detector):
         elif v > h - self.k:
             # (3) v lands in the window.  Any window value still missing
             # above v must arrive later and completes (h, v, missing).
-            if len(window) - bisect_right(window, v) < h - v:
+            j = bisect_right(window, v)
+            if len(window) - j < h - v:
                 c = self._largest_missing_below_h()
                 return self._accept(
                     Occurrence(positions=(self._h_pos, pos, None), values=(h, v, c))
                 )
-            insort(window, v)
+            window.insert(j, v)
         else:
             # (4) v undercuts the window: merge any pairs it is below (the
             # suffix of D from i on) into the single wider pair (h, v).

@@ -4,14 +4,17 @@ The baseline decides containment with its own sweep matcher
 (`permstream.streaming.baseline.first_occurrence`); these tests compare its
 verdict and its occurrence, which must be the position-lexicographically
 first one, with `contains_bruteforce`, and pin the space telemetry the
-baseline reports.  The last test checks that no detector module imports
-the oracle, so that these comparisons can fail.
+baseline reports.  The last two tests check that the detector modules and
+the oracle import nothing from each other, so that these comparisons can
+fail.
 """
 
 from __future__ import annotations
 
 import ast
 import random
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from permstream.hardgen import (
     gen_pi4_front,
     gen_seq312,
 )
-from permstream import streaming
+from permstream import oracle, streaming
 from permstream.streaming.baseline import first_occurrence
 from conftest import all_patterns, perm_instance, random_perm, seq_instance
 
@@ -176,23 +179,49 @@ def test_extended_streams_match_the_oracle():
 # -- independence from the oracle -----------------------------------------------------
 
 
+def imported_names(path: Path, package: list[str]) -> list[str]:
+    """Every module the file imports, and every name it imports from one."""
+    names: list[str] = []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "from ..oracle import x" and "from .. import oracle" alike
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    return names
+
+
+def within(name: str, module: str) -> bool:
+    return name == module or name.startswith(module + ".")
+
+
 def test_streaming_modules_import_nothing_from_the_oracle():
-    package = ["permstream", "streaming"]
     modules = sorted(Path(streaming.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                # "from ..oracle import x" and "from .. import oracle" alike
-                base = package[: len(package) - node.level + 1] if node.level else []
-                module = ".".join(base + ([node.module] if node.module else []))
-                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            for name in names:
-                assert not (name == "permstream.oracle" or name.startswith("permstream.oracle.")), (
-                    f"{path.name} imports {name}"
-                )
+        for name in imported_names(path, ["permstream", "streaming"]):
+            assert not within(name, "permstream.oracle"), f"{path.name} imports {name}"
+
+
+ORACLE_RUN = """\
+import sys
+from permstream.core import StreamInstance, StreamMode, parse_pattern
+from permstream.oracle import contains_bruteforce, count_occurrences
+inst = StreamInstance(4, StreamMode.PERMUTATION, (3, 1, 4, 2))
+contains_bruteforce(inst, parse_pattern("312")), count_occurrences(inst, parse_pattern("21"))
+print(sorted(m for m in sys.modules if m.startswith("permstream.streaming")))
+"""
+
+
+def test_oracle_imports_nothing_from_the_streaming_package():
+    names = imported_names(Path(oracle.__file__), ["permstream"])
+    assert "permstream.core" in names
+    for name in names:
+        assert not within(name, "permstream.streaming"), f"oracle.py imports {name}"
+    # the lazy re-exports of permstream could reach a detector at run time
+    proc = subprocess.run([sys.executable, "-c", ORACLE_RUN], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -65,6 +65,54 @@ def test_contains_matches_reference_exhaustively():
 def test_contains_works_in_sequence_mode():
     inst = seq_instance((9, 7, 8), n=12)
     assert contains_bruteforce(inst, P312) is not None
+
+
+def enumerated_occurrences(values, pattern_values) -> list[tuple[int, ...]]:
+    """Every occurrence's 1-based positions, in lexicographic order.
+
+    Independent of the oracle's search: ``combinations`` yields index tuples in
+    lexicographic order, and a tuple matches when sorting its values by size
+    lists the pattern slots in the same order as sorting the pattern does.
+    """
+    k = len(pattern_values)
+    shape = sorted(range(k), key=pattern_values.__getitem__)
+    found = []
+    for combo in combinations(range(len(values)), k):
+        picked = [values[i] for i in combo]
+        if sorted(range(k), key=picked.__getitem__) == shape:
+            found.append(tuple(i + 1 for i in combo))
+    return found
+
+
+def assert_exact_output(inst, pattern) -> None:
+    """contains_bruteforce returns the first occurrence; count_occurrences counts them all."""
+    found = enumerated_occurrences(inst.elements, pattern.values)
+    first = None
+    if found:
+        values = tuple(inst.elements[p - 1] for p in found[0])
+        first = Occurrence(positions=found[0], values=values)
+    assert contains_bruteforce(inst, pattern) == first, (inst.elements, pattern)
+    assert count_occurrences(inst, pattern) == len(found), (inst.elements, pattern)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oracle_output_matches_enumeration_on_every_permutation(n):
+    # k > n for the short permutations: no occurrence, count 0
+    patterns = all_patterns(1, 2, 3, 4)
+    for tau in permutations(range(1, n + 1)):
+        inst = perm_instance(tau)
+        for pat in patterns:
+            assert_exact_output(inst, pat)
+
+
+def test_oracle_output_matches_enumeration_on_streams_with_gaps():
+    rng = random.Random(13)
+    streams = [seq_instance((9, 7, 8), n=12), seq_instance((40, 2), n=40)]
+    for m in range(3, 9):
+        streams.append(seq_instance(rng.sample(range(1, 41), m), n=40))
+    for inst in streams:
+        for pat in all_patterns(1, 2, 3, 4):
+            assert_exact_output(inst, pat)
 
 
 # -- counting -------------------------------------------------------------------
