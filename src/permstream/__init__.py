@@ -63,18 +63,14 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
         "is_order_isomorphic",
         "parse_pattern",
         "parse_stream_text",
-        "rank_normalize",
         "read_stream_file",
-        "reverse",
         "stream_violation",
-        "validate_stream",
         "write_stream_file",
     ),
     "hardgen": (
         "DisjInstance",
         "Segment",
         "extend_stream",
-        "extend_stream_iter",
         "gen_3142_2143",
         "gen_4312",
         "gen_monotone_lb",
@@ -88,7 +84,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
         "count_occurrences",
         "occurrence_is_valid",
         "split_protocol",
-        "subsequence_pattern",
     ),
     "streaming": (
         "BaselineDetector",

@@ -176,8 +176,8 @@ class StreamInstance(Frozen):
     """A concrete stream: universe size, mode, and the values in order.
 
     The constructor is permissive so that malformed candidate streams can be
-    represented and then rejected; use :func:`validate_stream` /
-    :func:`stream_violation` before trusting an instance.  It is checked
+    represented and then rejected; use :func:`stream_violation` /
+    :func:`require_valid_stream` before trusting an instance.  It is checked
     once, on the first such call, and keeps its verdict outside eq and hash.
     """
 
@@ -325,11 +325,6 @@ def stream_violation(inst: StreamInstance) -> str | None:
     return inst._violation
 
 
-def validate_stream(inst: StreamInstance) -> bool:
-    """True when the instance satisfies its declared mode's promises."""
-    return inst._violation is None
-
-
 def require_valid_stream(inst: StreamInstance) -> None:
     """Raise ValueError with the reason when the instance is malformed."""
     if inst._violation is not None:
@@ -401,25 +396,6 @@ def complement(values: Sequence[int], n: int) -> tuple[int, ...]:
             raise ValueError(f"value {v} outside universe [1, {n}]")
         out.append(n + 1 - v)
     return tuple(out)
-
-
-def reverse(values: Sequence[int]) -> tuple[int, ...]:
-    """The sequence read right to left (the other classical symmetry)."""
-    return tuple(reversed(values))
-
-
-def rank_normalize(values: Sequence[int]) -> tuple[int, ...]:
-    """Replace each value by its 1-based rank within the sequence.
-
-    The result is the unique pattern order-isomorphic to ``values``.
-
-    >>> rank_normalize((18, 8, 10, 6))
-    (4, 2, 3, 1)
-    """
-    if len(set(values)) != len(values):
-        raise ValueError("rank normalization requires distinct values")
-    rank = {v: i for i, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
 
 
 # ---------------------------------------------------------------------------

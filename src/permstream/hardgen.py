@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     Frozen,
@@ -314,13 +314,6 @@ def extend_stream(inst: StreamInstance) -> StreamInstance:
     doubled = [2 * v for v in inst.elements]
     odds = list(range(1, 2 * inst.n, 2))
     return StreamInstance(n=2 * inst.n, mode=inst.mode, elements=tuple(doubled + odds))
-
-
-def extend_stream_iter(values: Iterable[int], n: int) -> Iterator[int]:
-    """Streaming form of :func:`extend_stream`: constant working memory."""
-    for v in values:
-        yield 2 * v
-    yield from range(1, 2 * n, 2)
 
 
 def random_subsets(n_sets: int, rng: random.Random) -> tuple[frozenset[int], frozenset[int]]:

@@ -20,9 +20,7 @@ from .core import (
     Pattern,
     StreamInstance,
     StreamMode,
-    classify_pattern,
     is_order_isomorphic,
-    rank_normalize,
     require_valid_stream,
 )
 
@@ -164,32 +162,20 @@ def split_protocol(split: SplitInput, pattern: Pattern) -> bool:
         )
         return contains_bruteforce(inst, pattern) is not None
 
-    def completable_by(side: Sequence[int], others: set[int]) -> bool:
-        # side contains pat[:-1] so that some w in others finishes pat.
+    def fillable(side: Sequence[int], others: set[int], first: bool) -> bool:
+        # side contains pat without its first (or else its last) value, so
+        # that some w in others fills that end of pat.
+        rest = pat[1:] if first else pat[:-1]
         for combo in combinations(side, k - 1):
-            if not is_order_isomorphic(combo, pat[:-1]):
+            if not is_order_isomorphic(combo, rest):
                 continue
-            if any(is_order_isomorphic(combo + (w,), pat) for w in others):
+            if any(is_order_isomorphic((w, *combo) if first else (*combo, w), pat) for w in others):
                 return True
         return False
 
-    def startable_by(side: Sequence[int], others: set[int]) -> bool:
-        # side contains pat[1:] so that some w in others starts pat.
-        for combo in combinations(side, k - 1):
-            if not is_order_isomorphic(combo, pat[1:]):
-                continue
-            if any(is_order_isomorphic((w,) + combo, pat) for w in others):
-                return True
-        return False
-
-    alice_bit = side_contains(split.prefix) or completable_by(
-        split.prefix, set(split.suffix)
+    alice_bit = side_contains(split.prefix) or fillable(
+        split.prefix, set(split.suffix), first=False
     )
     if alice_bit:
         return True
-    return side_contains(split.suffix) or startable_by(split.suffix, set(split.prefix))
-
-
-def subsequence_pattern(values: Sequence[int]) -> Pattern:
-    """The pattern a subsequence realizes (rank-normalized)."""
-    return classify_pattern(rank_normalize(values))
+    return side_contains(split.suffix) or fillable(split.suffix, set(split.prefix), first=True)

@@ -23,7 +23,6 @@ every push allocates nothing.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from ..core import Frozen, Occurrence, Pattern, StreamMode, StreamValidator
@@ -58,7 +57,7 @@ class DetectorReport(Frozen):
 
 def bits_per_cell(n: int) -> int:
     """Width of one cell for universe [1..n]."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    return max(1, (n - 1).bit_length())
 
 
 class Detector:

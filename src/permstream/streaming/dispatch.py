@@ -38,8 +38,6 @@ from ..core import (
     PatternKind,
     StreamInstance,
     StreamMode,
-    classify_pattern,
-    complement,
     require_valid_stream,
 )
 from .adapter import ComplementAdapter
@@ -53,7 +51,7 @@ from .window312 import Detector312
 class Family(NamedTuple):
     """How one detector family serves its patterns."""
 
-    #: builds the native detector for a native pattern
+    #: builds the native detector from a served pattern
     native: Callable[[Pattern, int, StreamMode], Detector]
     #: served pattern (see :func:`_key`) -> whether it goes through
     #: ComplementAdapter; None serves every pattern natively
@@ -133,10 +131,11 @@ def new_detector(
 
 
 def _build(fam: Family, key: str, pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+    # the native builders read no more of the served pattern than its length
+    detector = fam.native(pattern, n, mode)
     if fam.patterns is not None and fam.patterns[key]:
-        native = classify_pattern(complement(pattern.values, len(pattern)))
-        return ComplementAdapter(fam.native(native, n, mode))
-    return fam.native(pattern, n, mode)
+        return ComplementAdapter(detector)
+    return detector
 
 
 def run_detector(

@@ -58,7 +58,7 @@ class Detector312(Detector):
             raise ValueError(f"window width must be at least 1, got k={k}")
         self.k = k
         self.bit_array_bits = k
-        self._h = 0
+        self._h = 0  # below every value, so the first push opens the window
         self._h_pos = 0
         self._window: list[int] = []  # sorted
         # pair entries (a, b, position of a, position of b), sorted by b,
@@ -82,13 +82,6 @@ class Detector312(Detector):
     def _step(self, v: int) -> bool:
         pos = self.pushes
         window = self._window
-        if pos == 1:
-            self._h = v
-            self._h_pos = pos
-            window.append(v)
-            self._meter()
-            return False
-
         # (1) v strictly inside a stored pair completes it; only the pair
         # with the largest b below v can hold it.
         lows = self._pair_lows

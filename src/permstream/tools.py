@@ -41,6 +41,7 @@ from .core import (
     format_stream_text,
     parse_pattern,
     stream_violation,
+    write_stream_file,
 )
 from .hardgen import (
     DisjInstance,
@@ -322,8 +323,7 @@ def _write_replay(args: argparse.Namespace, record: dict, pattern: Pattern) -> s
     directory = args.replay_dir or "."
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"permstream-replay-{args.seed}-{record['trial']}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_stream_text(inst, comments=comments))
+    write_stream_file(path, inst, comments=comments)
     return path
 
 
@@ -354,6 +354,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise UsageError("fuzz needs exactly one of --pattern (with --n) or --construction")
     if args.trials < 0:
         raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.pattern:
         pattern = _parse_pattern_arg(args.pattern)

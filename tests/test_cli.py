@@ -263,6 +263,14 @@ def test_negative_trials_are_rejected(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_fuzz_needs_at_least_one_job(jobs, capsys):
+    assert run_cli("fuzz", "--pattern", "12", "--n", "4", "--jobs", jobs) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("construction", ["monotone-lb", "extend", "bogus"])
 def test_fuzz_lists_only_the_constructions_it_takes(construction, capsys):
     assert run_cli("fuzz", "--construction", construction, "--nsets", "3") == 2

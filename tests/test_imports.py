@@ -68,6 +68,34 @@ def test_detect_check_loads_the_oracle_only():
     assert loaded == {"import": [], "detect": ["permstream.oracle"]}
 
 
+#: the public surface: a name added or removed here is a deliberate change
+PUBLIC = {
+    "permstream": [
+        "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",
+        "DetectorReport", "DisjInstance", "InvariantViolation", "MonotoneDetector",
+        "Occurrence", "Pattern", "PatternKind", "Segment", "SplitInput", "StreamInstance",
+        "StreamMode", "TrivialRejectDetector", "bits_per_cell", "classify_pattern",
+        "complement", "contains_bruteforce", "count_occurrences", "default_window",
+        "extend_stream", "format_stream_text", "gen_3142_2143", "gen_4312",
+        "gen_monotone_lb", "gen_pi4_front", "gen_seq312", "is_order_isomorphic",
+        "new_detector", "occurrence_is_valid", "parse_pattern", "parse_stream_text",
+        "random_subsets", "read_stream_file", "replay_312_with_invariants", "run_detector",
+        "split_protocol", "stream_violation", "write_stream_file",
+    ],
+    "permstream.streaming": [
+        "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",
+        "DetectorReport", "FAMILIES", "InvariantViolation", "MonotoneDetector",
+        "TrivialRejectDetector", "bits_per_cell", "contains_213", "default_window",
+        "new_detector", "replay_312_with_invariants", "run_detector",
+    ],
+}
+
+
+@pytest.mark.parametrize("package", [permstream, permstream.streaming])
+def test_public_surface_is_pinned(package):
+    assert package.__all__ == PUBLIC[package.__name__]
+
+
 @pytest.mark.parametrize("package", [permstream, permstream.streaming])
 def test_every_exported_name_is_its_defining_object(package):
     assert package.__all__ == sorted(set(package.__all__))

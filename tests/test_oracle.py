@@ -17,7 +17,6 @@ from permstream import (
     occurrence_is_valid,
     parse_pattern,
     split_protocol,
-    subsequence_pattern,
 )
 from conftest import (
     all_patterns,
@@ -225,11 +224,3 @@ def test_split_matches_oracle_on_all_small_inputs():
                 for pat in patterns:
                     want = contains_bruteforce(inst, pat) is not None
                     assert split_protocol(split, pat) == want, (tau, cut, pat)
-
-
-# -- misc ---------------------------------------------------------------------------
-
-
-def test_subsequence_pattern():
-    assert subsequence_pattern((9, 7, 8)).values == (3, 1, 2)
-    assert subsequence_pattern((50,)).values == (1,)

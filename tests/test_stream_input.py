@@ -21,6 +21,7 @@ import pytest
 from permstream import (
     StreamInstance,
     StreamMode,
+    bits_per_cell,
     contains_bruteforce,
     count_occurrences,
     format_stream_text,
@@ -29,7 +30,6 @@ from permstream import (
     parse_stream_text,
     run_detector,
     stream_violation,
-    validate_stream,
 )
 from permstream.cli import _occurrence_json, main
 from permstream import core
@@ -249,7 +249,6 @@ def test_an_instance_is_scanned_once(monkeypatch):
     pattern = parse_pattern("312")
     inst = StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 5, 2, 6, 4))
     assert stream_violation(inst) is None
-    assert validate_stream(inst)
     assert run_detector(inst, pattern).verdict
     assert contains_bruteforce(inst, pattern) is not None
     assert count_occurrences(inst, pattern) == 2
@@ -529,6 +528,21 @@ def test_sparse_stream_through_push(n):
     with pytest.raises(ValueError, match=f"^duplicate value {n}$"):
         det.push(n)
     assert len(det._validator._guard) == 1 and det._validator._far == {n}
+
+
+@pytest.mark.parametrize("k", [49, 53, 60])
+def test_bits_per_cell_is_exact_past_float_precision(k):
+    # ceil(log2(2^k + 1)) in floating point rounds down to k from k = 49 on
+    assert [bits_per_cell(2**k + d) for d in (-1, 0, 1)] == [k, k, k + 1]
+
+
+def test_detect_peak_bits_at_a_universe_past_float_precision(capsys):
+    n = str(2**60 + 1)
+    code, report, err = detect(
+        capsys, "--pattern", "12", "--values", f"{n},1", "--n", n, "--mode", "seq", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert (report["peak_cells"], report["peak_bits"]) == (2, 2 * 61)
 
 
 # -- detect: memory that does not grow with the stream ---------------------------
