@@ -63,9 +63,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
         "is_order_isomorphic",
         "parse_pattern",
         "parse_stream_text",
-        "read_stream_file",
         "stream_violation",
-        "write_stream_file",
     ),
     "hardgen": (
         "DisjInstance",

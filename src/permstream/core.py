@@ -532,17 +532,3 @@ def parse_stream_text(text: str) -> StreamInstance:
     """Parse the stream file format.  Raises ValueError on malformed input."""
     return collect_stream(iter_stream_text(io.StringIO(text)))
 
-
-def read_stream_file(path: str) -> StreamInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return collect_stream(iter_stream_text(fh))
-
-
-def write_stream_file(
-    path: str,
-    inst: StreamInstance,
-    segments: Iterable[tuple[str, int, int]] = (),
-    comments: Iterable[str] = (),
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_stream_text(inst, segments=segments, comments=comments))

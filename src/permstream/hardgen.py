@@ -36,7 +36,6 @@ import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    Frozen,
     Pattern,
     StreamInstance,
     StreamMode,
@@ -52,32 +51,15 @@ class Segment(NamedTuple):
     end: int
 
 
-class DisjInstance(Frozen):
+class DisjInstance(NamedTuple):
     """A generated stream with its disjointness provenance."""
 
-    __slots__ = _fields = ("pattern", "n_sets", "s", "t", "stream", "segments")
     pattern: Pattern
     n_sets: int
     s: frozenset[int]
     t: frozenset[int]
     stream: StreamInstance
     segments: tuple[Segment, ...]
-
-    def __init__(
-        self,
-        pattern: Pattern,
-        n_sets: int,
-        s: frozenset[int],
-        t: frozenset[int],
-        stream: StreamInstance,
-        segments: tuple[Segment, ...],
-    ) -> None:
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "n_sets", n_sets)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "stream", stream)
-        object.__setattr__(self, "segments", segments)
 
     @property
     def intersecting(self) -> bool:

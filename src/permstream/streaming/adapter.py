@@ -36,13 +36,7 @@ class ComplementAdapter(Detector):
     def finish(self) -> DetectorReport:
         report = self.inner.finish()  # only the adapter finishes it: a second call raises
         self._finished = True
-        return DetectorReport(
-            report.verdict,
-            self._map_occurrence(report.occurrence),
-            report.peak_cells,
-            report.peak_bits,
-            report.structure_peaks,
-        )
+        return report._replace(occurrence=self._map_occurrence(report.occurrence))
 
     def space_bound(self) -> tuple[str, float]:
         return self.inner.space_bound()

@@ -41,7 +41,6 @@ from .core import (
     format_stream_text,
     parse_pattern,
     stream_violation,
-    write_stream_file,
 )
 from .hardgen import (
     DisjInstance,
@@ -164,16 +163,15 @@ def _build_construction(
     )
 
 
-def _write_or_print(path: str | None, text: str) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}") from exc
-        print(path)
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str, make_dir: bool = False) -> None:
+    """Write ``text`` to ``path`` (after its directory, if ``make_dir``); OSError exits 2."""
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 Outputs = list[tuple[str, str]]  # (suffix to --out, stream text)
@@ -256,7 +254,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _emit(args, {"command": "gen", "construction": args.construction, **payload}, [])
         return 0
     for suffix, text in outputs:
-        _write_or_print(args.out and args.out + suffix, text)
+        if args.out:
+            _write(args.out + suffix, text)
+            print(args.out + suffix)
+        else:
+            sys.stdout.write(text)
     return 0
 
 
@@ -320,10 +322,9 @@ def _write_replay(args: argparse.Namespace, record: dict, pattern: Pattern) -> s
     ]
     if "s" in record:
         comments.insert(1, f"construction sets S={record['s']} T={record['t']}")
-    directory = args.replay_dir or "."
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"permstream-replay-{args.seed}-{record['trial']}.txt")
-    write_stream_file(path, inst, comments=comments)
+    name = f"permstream-replay-{args.seed}-{record['trial']}.txt"
+    path = os.path.join(args.replay_dir or ".", name)
+    _write(path, format_stream_text(inst, comments=comments), make_dir=True)
     return path
 
 

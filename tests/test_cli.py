@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from permstream import parse_pattern, read_stream_file
+from permstream import gen_monotone_lb, new_detector, parse_pattern, parse_stream_text
 from permstream import cli, core
+from permstream.streaming import Detector, Detector312, MonotoneDetector
 from permstream.cli import build_parser, main
 from permstream.tools import _write_replay
 
@@ -144,7 +145,7 @@ def test_gen_detect_round_trip(tmp_path, capsys):
         "gen", "--construction", "seq312", "--nsets", "6",
         "--s", "1,3,5,6", "--t", "2,3,5", "--out", str(out),
     ) == 0
-    inst = read_stream_file(str(out))
+    inst = parse_stream_text(out.read_text())
     assert inst.elements == (3, 1, 9, 7, 15, 13, 18, 16, 14, 8, 5)
     text = out.read_text()
     assert "# segment alice 1 8" in text
@@ -180,8 +181,8 @@ def test_gen_monotone_lb_writes_pair(tmp_path):
         "gen", "--construction", "monotone-lb", "--k", "6", "--n", "20",
         "--rho", "1,5,7,13", "--sigma", "1,5,9,11", "--out", str(prefix),
     ) == 0
-    acc = read_stream_file(f"{prefix}-accept.txt")
-    rej = read_stream_file(f"{prefix}-reject.txt")
+    acc = parse_stream_text(open(f"{prefix}-accept.txt").read())
+    rej = parse_stream_text(open(f"{prefix}-reject.txt").read())
     assert acc.elements[:5] == (19, 17, 15, 11, 9)
     assert rej.elements[:5] == (19, 17, 15, 13, 7)
 
@@ -326,11 +327,106 @@ def test_replay_file_round_trips(tmp_path):
         replay_dir = str(tmp_path)
 
     path = _write_replay(Args(), record, parse_pattern("312"))
-    inst = read_stream_file(path)
-    assert inst.elements == (3, 1, 2)
     text = open(path).read()
+    assert parse_stream_text(text).elements == (3, 1, 2)
     assert "seed=9" in text and "trial=7" in text
     assert "permstream detect" in text  # reproduce command present
+
+
+def blind_detectors(monkeypatch) -> None:
+    """A wrong detector: every report from ``Detector.finish`` says AVOIDED."""
+    finish = Detector.finish
+    monkeypatch.setattr(Detector, "finish", lambda self: finish(self)._replace(verdict=False))
+
+
+@pytest.mark.parametrize("argv, trials, record", [
+    (
+        ["--pattern", "312", "--n", "5", "--exhaustive"], 5,
+        {"trial": 4, "stream": [1, 2, 5, 3, 4], "n": 5},
+    ),
+    (
+        ["--construction", "4312", "--nsets", "3"], 1,
+        {"trial": 0, "stream": [5, 10, 3, 1, 4, 6, 7, 9, 8, 2], "n": 10,
+         "s": [1, 3], "t": [1], "intersecting": True},
+    ),
+])
+@pytest.mark.filterwarnings("ignore:pattern 4312 needs linear space")  # detect's baseline
+def test_fuzz_reports_and_replays_the_first_disagreement(
+    argv, trials, record, tmp_path, monkeypatch, capsys
+):
+    with monkeypatch.context() as m:
+        blind_detectors(m)
+        assert run_cli("fuzz", *argv, "--replay-dir", str(tmp_path), "--json") == 1
+        rep = json_out(capsys)
+        assert rep["trials"] == trials  # it stops at the first disagreement
+        assert rep["disagreement"] == {
+            **record, "mode": "perm", "detector": False, "oracle": True
+        }
+        path = str(tmp_path / f"permstream-replay-0-{record['trial']}.txt")
+        assert rep["replay_file"] == path
+        pattern = argv[1]  # 4312 names both the construction and its pattern
+        assert run_cli("detect", "--pattern", pattern, "--input", path, "--check") == 1
+        assert "oracle cross-check: DISAGREE" in capsys.readouterr().out
+    assert run_cli("detect", "--pattern", pattern, "--input", path, "--check") == 0
+    assert "oracle cross-check: agree" in capsys.readouterr().out
+
+
+def test_an_unwritable_file_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    blind_detectors(monkeypatch)
+    argv = ["fuzz", "--pattern", "312", "--n", "5", "--exhaustive"]
+    assert run_cli(*argv, "--replay-dir", str(blocker / "sub")) == 2
+    path = blocker / "sub" / "permstream-replay-0-4.txt"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+
+    out = tmp_path / "missing" / "inst.txt"
+    assert run_cli("gen", "--construction", "4312", "--nsets", "3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+MISSING = "/no/such/dir/stream.txt"
+
+
+@pytest.mark.parametrize("check, message", [
+    (["detect", "--pattern", "12", "--values", "1,2", "--n", "2", "--input", MISSING],
+     "give either --input or --values, not both"),
+    (["detect", "--pattern", "12", "--input", MISSING],
+     f"cannot read {MISSING}: [Errno 2] No such file or directory: '{MISSING}'"),
+    (["detect", "--pattern", "12", "--values", "1,x", "--n", "2"],
+     "bad --values: invalid literal for int() with base 10: 'x'"),
+    (["detect", "--pattern", "3a1", "--values", "1,2", "--n", "2"],
+     "cannot parse pattern '3a1': use digits ('312') or commas ('3,1,2')"),
+    (["oracle", "--pattern", "21", "--values", "2,1", "--n", "3", "--mode", "seq",
+      "--split", "1"],
+     "--split needs a permutation stream (mode=perm)"),
+    (["gen", "--construction", "seq312", "--nsets", "3", "--s", "1,x"],
+     "bad --s: invalid literal for int() with base 10: 'x'"),
+    (["gen", "--construction", "seq312", "--nsets", "0"], "n_sets must be at least 1, got 0"),
+    (["gen", "--construction", "monotone-lb", "--k", "4", "--n", "6", "--rho", "1,7"],
+     "rho exceeds the universe: 7 > 5"),
+    (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "8", "--rho", "1,3,5",
+      "--sigma", "1,3,9"],
+     "sigma exceeds the universe: 9 > 7"),
+    # a callable is a library call, which raises ValueError
+    (lambda: new_detector(parse_pattern("312"), 0), "universe size must be at least 1, got n=0"),
+    (lambda: MonotoneDetector(0, 5), "pattern length must be at least 1, got 0"),
+    (lambda: Detector312(5, k=0), "window width must be at least 1, got k=0"),
+    # the CLI sorts --rho, so only the library is handed a non-increasing code
+    (lambda: gen_monotone_lb(5, 12, (1, 7, 5)), "rho must be strictly increasing"),
+])
+def test_each_input_check_gives_its_message(check, message, capsys):
+    if callable(check):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == message
+    else:
+        assert run_cli(*check) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- bench ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from permstream import (
     Detector231,
     Detector312,
     MonotoneDetector,
+    Occurrence,
     PatternKind,
     StreamMode,
     TrivialRejectDetector,
@@ -266,8 +267,9 @@ def test_adapter_recomplements_occurrences():
     accepted = any(det.push(v) for v in inst.elements)
     assert accepted
     occ = det.occurrence
-    if occ is not None:
-        assert occurrence_is_valid(inst, p132, occ)
+    assert occ == Occurrence(positions=(1, 2, 3), values=(1, 6, 3))
+    assert occurrence_is_valid(inst, p132, occ)
+    assert det.finish().occurrence == occ  # the report carries the mapped witness too
 
 
 def test_adapter_matches_direct_complement_run():

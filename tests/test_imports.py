@@ -79,8 +79,8 @@ PUBLIC = {
         "extend_stream", "format_stream_text", "gen_3142_2143", "gen_4312",
         "gen_monotone_lb", "gen_pi4_front", "gen_seq312", "is_order_isomorphic",
         "new_detector", "occurrence_is_valid", "parse_pattern", "parse_stream_text",
-        "random_subsets", "read_stream_file", "replay_312_with_invariants", "run_detector",
-        "split_protocol", "stream_violation", "write_stream_file",
+        "random_subsets", "replay_312_with_invariants", "run_detector", "split_protocol",
+        "stream_violation",
     ],
     "permstream.streaming": [
         "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",

@@ -59,7 +59,8 @@ def test_report_equality_follows_its_fields():
                        structure_peaks={"A": 1})
     assert a == b
     assert a != DetectorReport(True, occ, 3, 9, {"A": 2})
-    assert DetectorReport(False, None, 0, 0).structure_peaks == {}
+    with pytest.raises(TypeError):
+        DetectorReport(False, None, 0, 0)  # every field is required
     with pytest.raises(TypeError):
         hash(a)  # its structure_peaks dict is unhashable
 
@@ -76,7 +77,7 @@ def test_a_checked_instance_equals_an_unchecked_one():
     (classify_pattern((2, 1)), "kind"),
     (Occurrence(positions=(1,), values=(1,)), "positions"),
     (StreamInstance(n=1, mode=StreamMode.PERMUTATION, elements=(1,)), "elements"),
-    (DetectorReport(False, None, 0, 0), "verdict"),
+    (DetectorReport(False, None, 0, 0, {}), "verdict"),
 ])
 def test_fields_cannot_be_assigned(obj, field):
     before = getattr(obj, field)
