@@ -2,8 +2,7 @@
 
 Run from anywhere, with the interpreter that runs the test suite:
 
-    python tests/mutants/run.py            # every mutant
-    python tests/mutants/run.py NAME ...   # only the named ones
+    python tests/mutants/run.py
 
 Each entry of ``MUTANTS`` names a file under ``src/``, a piece of its source
 that must occur there exactly once, the text that replaces it, and the tests
@@ -108,25 +107,20 @@ def run_tests(copy: str, tests: tuple[str, ...]) -> int:
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True).returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="permstream-mutants-") as copy:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part), ignore=skip)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
 
-        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = run_tests(copy, tests)
         if code != 0:
             print(f"the unchanged copy fails its tests (pytest exit code {code})")
             return 1
         failed = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = os.path.join(copy, "src", mutant.path)
             with open(path, encoding="utf-8") as fh:
                 source = fh.read()
@@ -146,9 +140,9 @@ def main(names: list[str]) -> int:
             else:
                 print(f"SURVIVED  {mutant.name} (pytest exit code {code})")
                 failed += 1
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
