@@ -260,10 +260,6 @@ def gen_monotone_lb(
         rho_v, sigma_v = sigma_v, rho_v
     i = diff + 1  # 1-based index of the first difference
     r = rho_v[diff]
-    if r + 2 * (k - i) - 1 > n:
-        raise ValueError(
-            f"universe too small: need n >= {r + 2 * (k - i) - 1} for the middle run"
-        )
     beta = (
         list(range(n, r + 2 * (k - i), -2))
         + list(range(r + 1, r + 2 * (k - i), 2))

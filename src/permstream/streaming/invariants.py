@@ -6,8 +6,8 @@ every non-accepting push, that the detector state is what the correctness
 argument relies on:
 
 * ``h`` is the maximum of the prefix read so far;
-* the window set ``A`` holds exactly the prefix values above h-k, and at
-  most k of them;
+* the window set ``A`` holds exactly the prefix values above h-k (so at
+  most k of them);
 * every stored pair (a, b) is a decreasing pair of prefix values with
   a - b >= k, the value intervals [b, a] are pairwise disjoint, and at most
   ceil(n/k) pairs are stored;
@@ -34,11 +34,9 @@ class InvariantViolation(AssertionError):
     """A Detector312 state invariant failed during replay."""
 
 
-def replay_312_with_invariants(
-    values: Sequence[int], n: int, k: int | None = None
-) -> DetectorReport:
+def replay_312_with_invariants(values: Sequence[int], n: int) -> DetectorReport:
     """Run Detector312 over ``values`` checking invariants after every push."""
-    det = Detector312(n, StreamMode.PERMUTATION, k=k)
+    det = Detector312(n, StreamMode.PERMUTATION)
     # suffix_sorted[t] = sorted values of the stream strictly after position t
     suffix_sorted: list[list[int]] = [[] for _ in range(len(values) + 1)]
     acc: list[int] = []
@@ -75,8 +73,6 @@ def _check_state(
     expected_window = {x for x in prefix if x > h - k}
     if set(window) != expected_window:
         fail(f"window {sorted(window)} != prefix values above h-k {sorted(expected_window)}")
-    if len(window) > k:
-        fail(f"window holds {len(window)} values, more than k={k}")
 
     if len(pairs) > math.ceil(n / k):
         fail(f"{len(pairs)} pairs stored, more than ceil(n/k)={math.ceil(n / k)}")

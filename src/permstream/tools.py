@@ -128,11 +128,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_set(text: str | None, what: str) -> frozenset[int]:
+def _parse_ints(text: str | None, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, in the order given."""
     if not text:
-        return frozenset()
+        return ()
     try:
-        return frozenset(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
@@ -192,8 +193,8 @@ def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
 def _gen_monotone_lb(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.k is None or args.n is None or not args.rho:
         raise UsageError("monotone-lb needs --k, --n, and --rho")
-    rho = tuple(sorted(_parse_int_set(args.rho, "--rho")))
-    sigma = tuple(sorted(_parse_int_set(args.sigma, "--sigma"))) if args.sigma else None
+    rho = _parse_ints(args.rho, "--rho")
+    sigma = _parse_ints(args.sigma, "--sigma") if args.sigma else None
     try:
         result = gen_monotone_lb(args.k, args.n, rho, sigma)
     except ValueError as exc:
@@ -223,8 +224,8 @@ def _gen_disjointness(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.random_sets:
         s, t = random_subsets(args.nsets, random.Random(args.seed))
     else:
-        s = _parse_int_set(args.s, "--s")
-        t = _parse_int_set(args.t, "--t")
+        s = frozenset(_parse_ints(args.s, "--s"))
+        t = frozenset(_parse_ints(args.t, "--t"))
     disj = _build_construction(args.construction, args.nsets, s, t, ("monotone-lb", "extend"))
     comments = [
         f"construction {args.construction} nsets={args.nsets} "

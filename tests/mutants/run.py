@@ -97,6 +97,62 @@ MUTANTS = (
         "        self._h = 2  #",
         ("tests/test_detector312.py::test_matches_oracle_on_all_small_permutations",),
     ),
+    Mutant(
+        "strips231-ascent-threshold-never-rises",
+        "permstream/streaming/strips231.py",
+        "            self._high_starter = highest_starter\n",
+        "            pass\n",
+        ("tests/test_detector231.py::test_high_starter_accepts_across_strips",),
+    ),
+    Mutant(
+        "strips231-fold-never-lowers-low-after",
+        "permstream/streaming/strips231.py",
+        "            if self.low_after is None or ordered[0] < self.low_after:\n",
+        "            if self.low_after is None:\n",
+        ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        "strips231-end-check-without-part-4",
+        "permstream/streaming/strips231.py",
+        "        return (\n"
+        "            self.low_after is not None\n"
+        "            and self.seen_below < self.high - self.low_after\n"
+        "        )\n",
+        "        return False\n",
+        ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # only the late near miss at n = 400 needs part (3) to see its 231
+        "strips231-end-check-without-part-3",
+        "permstream/streaming/strips231.py",
+        "        if self.gap_lo is not None and self.seen < self.gap_hi - self.gap_lo - 1:\n"
+        "            return True\n",
+        "",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[late_miss]",),
+    ),
+    Mutant(
+        "strips231-fold-skips-the-gap-count",
+        "permstream/streaming/strips231.py",
+        "            self.seen += bisect_left(ordered, self.gap_hi) - bisect_right(ordered, self.gap_lo)\n",
+        "            pass\n",
+        ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # the oracle tests pass with it: only the metered cells drop
+        "strips231-arrivals-not-metered",
+        "permstream/streaming/strips231.py",
+        "            self._record_cells += len(waiting) - kept\n",
+        "",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[avoider]",),
+    ),
+    Mutant(
+        # the oracle tests pass with it: on their inputs the records still see each missed 231
+        "strips231-scan-never-updates-best",
+        "permstream/streaming/strips231.py",
+        "            best = prefix[i - 1]\n",
+        "            pass\n",
+        ("tests/test_detector231.py::test_contains_231_scan",),
+    ),
 )
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from permstream import gen_monotone_lb, new_detector, parse_pattern, parse_stream_text
-from permstream import cli, core
+from permstream import cli, core, tools
 from permstream.streaming import Detector, Detector312, MonotoneDetector
 from permstream.cli import build_parser, main
 from permstream.tools import _write_replay
@@ -127,6 +127,17 @@ def test_oracle_count_and_split(capsys):
     assert rep["agree"] is True
 
 
+def test_oracle_split_disagreement_exits_1(monkeypatch, capsys):
+    split_protocol = tools.split_protocol
+    monkeypatch.setattr(tools, "split_protocol", lambda *args: not split_protocol(*args))
+    argv = ["oracle", "--pattern", "21", "--values", "2,1,3", "--n", "3", "--split", "1"]
+    assert run_cli(*argv, "--json") == 1
+    rep = json_out(capsys)
+    assert (rep["verdict"], rep["protocol_verdict"], rep["agree"]) == (True, False, False)
+    assert run_cli(*argv) == 1
+    assert "split protocol at 1: AVOIDED (DISAGREE)" in capsys.readouterr().out
+
+
 def test_oracle_split_validates(capsys):
     assert run_cli(
         "oracle", "--pattern", "21", "--values", "2,1,3", "--n", "3", "--split", "9"
@@ -185,6 +196,14 @@ def test_gen_monotone_lb_writes_pair(tmp_path):
     rej = parse_stream_text(open(f"{prefix}-reject.txt").read())
     assert acc.elements[:5] == (19, 17, 15, 11, 9)
     assert rej.elements[:5] == (19, 17, 15, 13, 7)
+
+
+def test_gen_monotone_lb_prefix_only(capsys):
+    assert run_cli("gen", "--construction", "monotone-lb", "--k", "5", "--n", "12",
+                   "--rho", "1,5,7") == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# monotone-lb prefix k=5 rho=1,5,7\n")
+    assert parse_stream_text(text) == gen_monotone_lb(5, 12, (1, 5, 7))
 
 
 def test_gen_extend(tmp_path, capsys):
@@ -412,12 +431,15 @@ MISSING = "/no/such/dir/stream.txt"
     (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "8", "--rho", "1,3,5",
       "--sigma", "1,3,9"],
      "sigma exceeds the universe: 9 > 7"),
+    # the codes reach the library in the order given
+    (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "12", "--rho", "1,7,5"],
+     "rho must be strictly increasing"),
+    (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "12", "--rho", "1,5,5"],
+     "rho must be strictly increasing"),
     # a callable is a library call, which raises ValueError
     (lambda: new_detector(parse_pattern("312"), 0), "universe size must be at least 1, got n=0"),
     (lambda: MonotoneDetector(0, 5), "pattern length must be at least 1, got 0"),
     (lambda: Detector312(5, k=0), "window width must be at least 1, got k=0"),
-    # the CLI sorts --rho, so only the library is handed a non-increasing code
-    (lambda: gen_monotone_lb(5, 12, (1, 7, 5)), "rho must be strictly increasing"),
 ])
 def test_each_input_check_gives_its_message(check, message, capsys):
     if callable(check):

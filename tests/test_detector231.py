@@ -13,7 +13,7 @@ from permstream import (
     new_detector,
     parse_pattern,
 )
-from permstream.streaming.strips231 import contains_213, widest_gap_hull
+from permstream.streaming.strips231 import contains_231, widest_gap_hull
 from conftest import perm_instance, random_perm
 
 P231 = parse_pattern("231")
@@ -29,15 +29,15 @@ def run_and_finish(det, values):
 # -- the within-strip scan ---------------------------------------------------------
 
 
-def test_contains_213_scan():
-    assert contains_213([5, 3, 6])
-    assert contains_213([2, 1, 3])
-    assert not contains_213([1, 2, 3])
-    assert not contains_213([3, 2, 1])
-    assert not contains_213([])
+def test_contains_231_scan():
+    assert contains_231([3, 5, 2])
+    assert contains_231([2, 3, 1])
+    assert not contains_231([1, 2, 3])
+    assert not contains_231([3, 2, 1])
+    assert not contains_231([])
     for tau in permutations(range(1, 6)):
-        want = contains_bruteforce(perm_instance(tau), parse_pattern("213")) is not None
-        assert contains_213(list(tau)) == want, tau
+        want = contains_bruteforce(perm_instance(tau), P231) is not None
+        assert contains_231(list(tau)) == want, tau
 
 
 def contains_213_quadratic(seq):
@@ -76,8 +76,17 @@ def avoider_231(n, rng):
     return avoider_231(k, rng) + [n] + [x + k for x in avoider_231(n - 1 - k, rng)]
 
 
+def mirror(seq, top):
+    """The complement v -> top+1-v of a sequence of values from [1..top]."""
+    return [top + 1 - x for x in seq]
+
+
 def scanned_sequences():
-    """All sequences of distinct values from [1..7] up to length 7, then seeded length-150 ones."""
+    """All sequences of distinct values from [1..7] up to length 7, then seeded length-150 ones.
+
+    The sequences are drawn in complement space, where the quadratic
+    references above look for 213; the scans under test get their mirror.
+    """
     for length in range(8):
         yield from (list(seq) for seq in permutations(range(1, 8), length))
     rng = random.Random(44)
@@ -92,13 +101,16 @@ def scanned_sequences():
         yield from (avoider, near, shuffled)
 
 
-def test_contains_213_and_gap_hull_match_quadratic_references():
+def test_contains_231_and_gap_hull_mirror_the_quadratic_references():
     found = hulls = 0
     for seq in scanned_sequences():
+        top = max(seq, default=0)
+        values = mirror(seq, top)
         want = contains_213_quadratic(seq)
-        assert contains_213(seq) == want, seq
+        assert contains_231(values) == want, seq
         hull = gap_hull_quadratic(seq)
-        assert widest_gap_hull(seq, sorted(seq)) == hull, seq
+        want_hull = None if hull is None else tuple(mirror(reversed(hull), top))
+        assert widest_gap_hull(values, sorted(values)) == want_hull, seq
         found += want
         hulls += hull is not None
     assert found and hulls  # both outcomes occur
@@ -107,44 +119,41 @@ def test_contains_213_and_gap_hull_match_quadratic_references():
 # -- hand-traced runs -----------------------------------------------------------------
 
 
-def test_low_starter_accepts_across_strips():
-    # Internally values are complemented (w = n+1-v), so the stream
-    # (2,4,1,3) becomes (3,1,4,2): the first strip stores the descent 3>1,
-    # and the later 4 > 3 completes a witness at the third push.
+def test_high_starter_accepts_across_strips():
+    # The first strip (2,4) stores the ascent starter 2, and the later
+    # 1 < 2 completes a witness at the third push.
     det = Detector231(4)
     assert det.strip_size == 2
     assert not det.push(2)
     assert not det.push(4)
-    assert det._low_starter == 3
+    assert det._high_starter == 2
     assert det.push(1)
     assert contains_bruteforce(perm_instance((2, 4, 1, 3)), P231) is not None
 
 
 def test_gap_record_summarizes_widest_pair():
-    # Strip of complemented values (3,6,11,14) in a 16-universe: the pair
-    # (3,6) counts because 6-3-1 = 2 exceeds the 0 buffered values between
-    # them (so 4 or 5 lives outside the strip); the record keeps the hull of
-    # all such pairs.
+    # Strip (14,11,6,3) in a 16-universe: the pair (6,3) counts because
+    # 6-3-1 = 2 exceeds the 0 buffered values between them (so 4 or 5 lives
+    # outside the strip); the record keeps the hull of all such pairs.
     det = Detector231(16)
     assert det.strip_size == 4
-    for v in (14, 11, 6, 3):  # complements are 3, 6, 11, 14
+    for v in (14, 11, 6, 3):
         assert not det.push(v)
     rec = det._records[0]
     assert (rec.gap_lo, rec.gap_hi) == (3, 14)
     assert rec.seen == 2  # 6 and 11 sit between the hull endpoints
-    assert det._low_starter == 17  # no descent yet
+    assert det._high_starter == 0  # no ascent yet
 
 
 def test_end_check_fires_when_gap_value_appeared_earlier():
-    # Complement space: (1,3) close as a strip with gap (1,3); the missing
-    # value 2 arrived *before* the strip, so finish() must accept.
-    # Original-space stream for n=5: v = 6-w over w = (4,5,2,1,3)... kept
-    # concrete below with its oracle verdict instead.
+    # The 231 (3,4,1) spans the strips (5,3) and (4,1): the second strip's
+    # record keeps the pair (4,1), and the 3 between them came earlier, so
+    # only the end-of-stream counters can see it.
     inst = perm_instance((5, 3, 4, 1, 2))
     det = Detector231(5)
-    accepted_mid_stream = any(det.push(v) for v in inst.elements)
-    rep = det.finish() if not accepted_mid_stream else None
-    assert (rep.verdict if rep else accepted_mid_stream) is True
+    assert not any(det.push(v) for v in inst.elements)
+    assert (det._records[1].gap_lo, det._records[1].gap_hi) == (1, 4)
+    assert det.finish().verdict is True
     assert contains_bruteforce(inst, P231) is not None
 
 
@@ -198,8 +207,14 @@ def test_verdict_only_reporting():
 def reference_run(values, n):
     """Replay the strip design from the whole stream, sharing no detector code.
 
+    The model runs the 213 design on the complement w = n+1-v of the stream
+    and maps each record back through v = n+1-w: a gap (lo, hi) becomes
+    (n+1-hi, n+1-lo), the strip minimum ``low`` the maximum ``high``, and
+    ``high_after`` becomes ``low_after``; so the detector, which works on the
+    values themselves, must be its exact mirror.
+
     Returns the push that accepts (None when the run reaches finish), the
-    final record fields per closed 213-free strip, and the expected
+    final record fields per closed 231-free strip, and the expected
     ``peak_cells`` and ``structure_peaks``.
     """
     s = max(1, math.isqrt(n))
@@ -214,13 +229,13 @@ def reference_run(values, n):
         above = [w for w in ws[low_at + 1 :] if w > low]
         records.append(
             {
-                "gap_lo": hull[0] if hull else None,
-                "gap_hi": hull[1] if hull else None,
+                "gap_lo": n + 1 - hull[1] if hull else None,
+                "gap_hi": n + 1 - hull[0] if hull else None,
                 "seen": sum(hull[0] < w < hull[1] for w in ws[start:]) if hull else 0,
-                "low": low,
-                "high_after": max(above, default=None),
-                "seen_above": len(above),
-                # the push after which high_after is known; None if never
+                "high": n + 1 - low,
+                "low_after": n + 1 - max(above) if above else None,
+                "seen_below": len(above),
+                # the push after which low_after is known; None if never
                 "flip": next((t for t in range(low_at + 2, len(ws) + 1) if ws[t - 1] > low), None),
             }
         )
@@ -246,7 +261,7 @@ def reference_run(values, n):
         total = 1 + buffered
         for rec in records[:closed]:
             total += (3 if rec["gap_lo"] is not None else 0) + 2
-            total += rec["high_after"] is not None and rec["flip"] <= t
+            total += rec["low_after"] is not None and rec["flip"] <= t
         return total
 
     metered = []  # (cells, buffer, strips) after every non-accepting push
@@ -270,7 +285,7 @@ def check_against_reference(values):
     assert rep.peak_cells == peak_cells, values
     assert rep.structure_peaks == peaks, values
     if accept is None:
-        fields = ("gap_lo", "gap_hi", "seen", "low", "high_after", "seen_above")
+        fields = ("gap_lo", "gap_hi", "seen", "high", "low_after", "seen_below")
         got = [{f: getattr(rec, f) for f in fields} for rec in det._records]
         want = [{f: rec[f] for f in fields} for rec in records[: len(got)]]
         assert got == want, values

@@ -165,15 +165,53 @@ def test_invariant_replay_on_random_and_adversarial_streams():
     replay_312_with_invariants(list(range(64, 0, -1)), 64)
 
 
-def test_invariant_checker_flags_corrupted_state():
-    det = Detector312(8, k=2)
-    det.push(8)
-    det.push(5)
-    det._h = 7  # violate (i): h must equal the running maximum
-    from permstream.streaming.invariants import _check_state
+INCREASING = list(range(1, 17))
+DECREASING = list(range(16, 0, -1))
 
-    with pytest.raises(InvariantViolation):
-        _check_state(det, [8, 5], [[] for _ in range(9)], 8)
+
+def set_pairs(det, *pairs):
+    det._pairs = [(a, b, 0, 0) for a, b in pairs]
+    det._pair_lows = [b for _, b in pairs]
+
+
+# (stream, push after which one piece of state is corrupted, corruption, the
+# message it raises); n = 16, so k = 8 and at most ceil(n/k) = 2 pairs fit
+CORRUPTIONS = [
+    (INCREASING, 3, lambda det: setattr(det, "_h", 2),
+     "after 3 pushes: h=2 is not the prefix maximum 3"),
+    (INCREASING, 3, lambda det: det._window.remove(2),
+     "after 3 pushes: window [1, 3] != prefix values above h-k [1, 2, 3]"),
+    (INCREASING, 3, lambda det: set_pairs(det, (3, 1), (3, 1), (3, 1)),
+     "after 3 pushes: 3 pairs stored, more than ceil(n/k)=2"),
+    (INCREASING, 3, lambda det: set_pairs(det, (3, 1)),
+     "after 3 pushes: pair (3, 1) has width 2 < k=8"),
+    (INCREASING, 10, lambda det: set_pairs(det, (10, 1)),
+     "after 10 pushes: pair (10, 1) is not a decreasing pair of the prefix"),
+    (DECREASING, 10, lambda det: set_pairs(det, (16, 7), (15, 7)),
+     "after 10 pushes: pair intervals [7,15] and [7,16] overlap"),
+    # a repeated h makes the window count miss the unread 15 at the next push
+    ([16, 14, 15, *range(13, 0, -1)], 1, lambda det: det._window.append(16),
+     "after 2 pushes: decreasing pair (16, 14) inside the window has a completion, "
+     "but the detector did not report"),
+    ([16, 5, *range(15, 5, -1), 4, 3, 2, 1], 2, lambda det: set_pairs(det),
+     "after 2 pushes: decreasing pair (16, 5) has a completion but no stored pair covers it"),
+]
+
+
+@pytest.mark.parametrize("stream, after, corrupt, message", CORRUPTIONS)
+def test_invariant_checker_flags_corrupted_state(stream, after, corrupt, message, monkeypatch):
+    step = Detector312._step
+
+    def corrupting_step(det, v):
+        accepted = step(det, v)
+        if det.pushes == after:
+            corrupt(det)
+        return accepted
+
+    monkeypatch.setattr(Detector312, "_step", corrupting_step)
+    with pytest.raises(InvariantViolation) as exc:
+        replay_312_with_invariants(stream, 16)
+    assert str(exc.value) == message
 
 
 def test_space_stays_within_bounds_on_adversarial_stream():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import combinations, permutations
 
 import pytest
 
@@ -156,10 +158,7 @@ def test_monotone_lb_random_codes_discriminate():
         sigma = tuple([1] + sorted(rng.sample(odds, k - 3)))
         if rho == sigma:
             continue
-        try:
-            acc, rej = gen_monotone_lb(k, n, rho, sigma)
-        except ValueError:
-            continue  # code pair needs a taller universe
+        acc, rej = gen_monotone_lb(k, n, rho, sigma)
         p = parse_pattern("12345")
         assert contains_bruteforce(acc, p) is not None
         assert contains_bruteforce(rej, p) is None
@@ -178,6 +177,32 @@ def test_monotone_lb_validation():
         gen_monotone_lb(4, 12, (1, 3, 5))  # wrong length
     with pytest.raises(ValueError):
         gen_monotone_lb(4, 12, (1, 3), (1, 3))  # identical codes
+
+
+def longest_increasing(values):
+    """Length of the longest increasing subsequence (patience sorting)."""
+    tails: list[int] = []
+    for v in values:
+        i = bisect_left(tails, v)
+        tails[i : i + 1] = [v]
+    return len(tails)
+
+
+def test_monotone_lb_every_code_pair_fits_and_discriminates():
+    # Every ordered pair of distinct valid codes for k = 4..8 and even n <= 20
+    # (56016 pairs): check_code alone bounds the codes, and the shared suffix
+    # always fits inside [1..n].
+    pairs = 0
+    for k in range(4, 9):
+        for n in range(2, 21, 2):
+            codes = [(1, *c) for c in combinations(range(3, n, 2), k - 3)]
+            for rho, sigma in permutations(codes, 2):
+                acc, rej = gen_monotone_lb(k, n, rho, sigma)
+                assert sorted(acc.elements) == list(range(1, n + 1)) == sorted(rej.elements)
+                assert acc.elements[n // 2 :] == rej.elements[n // 2 :]
+                assert longest_increasing(acc.elements) >= k > longest_increasing(rej.elements)
+                pairs += 1
+    assert pairs == 56016
 
 
 def test_monotone_lb_tight_codes_still_fit():

@@ -85,7 +85,7 @@ PUBLIC = {
     "permstream.streaming": [
         "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",
         "DetectorReport", "FAMILIES", "InvariantViolation", "MonotoneDetector",
-        "TrivialRejectDetector", "bits_per_cell", "contains_213", "default_window",
+        "TrivialRejectDetector", "bits_per_cell", "contains_231", "default_window",
         "new_detector", "replay_312_with_invariants", "run_detector",
     ],
 }
