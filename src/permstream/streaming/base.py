@@ -1,10 +1,14 @@
 """Shared detector machinery: the push/finish state machine and space metering.
 
-A detector steps through values in :meth:`Detector._feed`, one checked value
-from :meth:`Detector.push` or a validated batch, and may *accept* (report that
-the pattern is present) at any value or at :meth:`Detector.finish`.  Once
-accepted, a detector is latched: further pushes are no-ops that keep
-returning True.
+Each detector steps through values in its own :meth:`Detector._feed`, the
+one loop that reads a detector's values: one checked value from
+:meth:`Detector.push`, or a validated batch from ``permstream detect`` and
+:func:`~permstream.streaming.dispatch.run_detector`.  The loop keeps the
+detector's state and its space peaks in locals, stops at the accepting
+value (whose position is then ``pushes``) and writes the state back on
+every exit.  A detector may *accept* (report that the pattern is present)
+at any value or at :meth:`Detector.finish`.  Once accepted, a detector is
+latched: further pushes are no-ops that keep returning True.
 
 Space is metered in *cells*: one cell per stored value, per stored point, and
 per stored pair.  ``peak_bits`` estimates the footprint as
@@ -16,9 +20,10 @@ follows the values pushed, never n.  It rejects malformed pushes with a
 clear error and is boundary validation rather than algorithm state, so it
 is deliberately excluded from the metering.
 
-Detectors report their current footprint through :meth:`Detector._note_space`
-with positional sizes, one per name in ``structure_names``, so that metering
-every push allocates nothing.
+A loop meters only where one of its structures can grow, and hands its
+peaks to :meth:`Detector._note_space` once per exit, with positional sizes,
+one per name in ``structure_names``.  The peaks are those the structures
+reach after each non-accepting value.
 """
 
 from __future__ import annotations
@@ -85,14 +90,10 @@ class Detector:
     def _feed(self, values: Iterable[int]) -> bool:
         """Step through validated ``values`` until the accept; True if it came.
 
-        The accepting value is value number ``pushes``; no later one is read.
+        Each detector implements this loop.  The accepting value is value
+        number ``pushes``; no later one is read.
         """
-        step = self._step
-        for value in values:
-            self.pushes += 1
-            if step(value):
-                return True
-        return False
+        raise NotImplementedError
 
     def finish(self) -> DetectorReport:
         """Declare end of stream and collect the verdict and telemetry."""
@@ -128,9 +129,6 @@ class Detector:
 
     # -- hooks for subclasses -------------------------------------------
 
-    def _step(self, value: int) -> bool:
-        raise NotImplementedError
-
     def _end_check(self) -> bool:
         """Extra acceptance work at end of stream (default: none)."""
         return False
@@ -157,7 +155,7 @@ class Detector:
         """Raise the peaks to ``cells`` and to the sizes of ``structure_names``.
 
         The sizes are positional, at most two (no detector keeps more
-        structures), so that metering every push allocates nothing.
+        structures); -1 leaves a structure unmetered.
         """
         if cells > self.peak_cells:
             self.peak_cells = cells

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..core import Occurrence, Pattern, StreamMode
 from .base import Detector
@@ -51,8 +51,12 @@ class BaselineDetector(Detector):
         super().__init__(pattern, n, mode)
         self._buffer: list[int] = []
 
-    def _step(self, value: int) -> bool:
-        self._buffer.append(value)
+    def _feed(self, values: Iterable[int]) -> bool:
+        # never accepts before finish, so the batch goes in whole
+        buf = self._buffer
+        held = len(buf)
+        buf.extend(values)
+        self.pushes += len(buf) - held
         return False
 
     def _end_check(self) -> bool:
@@ -74,7 +78,8 @@ class BaselineDetector(Detector):
 class TrivialRejectDetector(Detector):
     """Rejects without storing anything (pattern longer than the universe)."""
 
-    def _step(self, value: int) -> bool:
+    def _feed(self, values: Iterable[int]) -> bool:
+        self.pushes += sum(1 for _ in values)
         return False
 
 

@@ -40,12 +40,34 @@ from ..core import (
     StreamMode,
     require_valid_stream,
 )
-from .adapter import ComplementAdapter
 from .base import Detector, DetectorReport
-from .baseline import BaselineDetector, TrivialRejectDetector
-from .monotone import MonotoneDetector
-from .strips231 import Detector231
-from .window312 import Detector312
+
+# Each builder imports its detector's module on its first call, so a process
+# compiles only the detectors it builds.
+
+
+def _monotone(pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+    from .monotone import MonotoneDetector
+
+    return MonotoneDetector(len(pattern), n, mode)
+
+
+def _window312(pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+    from .window312 import Detector312
+
+    return Detector312(n, mode)
+
+
+def _strips231(pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+    from .strips231 import Detector231
+
+    return Detector231(n, mode)
+
+
+def _baseline(pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+    from .baseline import BaselineDetector
+
+    return BaselineDetector(pattern, n, mode)
 
 
 class Family(NamedTuple):
@@ -63,23 +85,23 @@ class Family(NamedTuple):
 
 FAMILIES: dict[str, Family] = {
     "monotone": Family(
-        lambda pattern, n, mode: MonotoneDetector(len(pattern), n, mode),
+        _monotone,
         {"increasing": False, "decreasing": True},
         refusal="cannot serve the pattern {pattern}",
     ),
     "312": Family(
-        lambda pattern, n, mode: Detector312(n, mode),
+        _window312,
         {"312": False, "132": True},
         needs_perm=True,
         refusal="serves only the patterns 312 and 132",
     ),
     "231": Family(
-        lambda pattern, n, mode: Detector231(n, mode),
+        _strips231,
         {"231": False, "213": True},
         needs_perm=True,
         refusal="serves only the patterns 231 and 213",
     ),
-    "baseline": Family(BaselineDetector, None),
+    "baseline": Family(_baseline, None),
 }
 
 
@@ -111,6 +133,8 @@ def new_detector(
             raise ValueError(f"{family} {forced.refusal.format(pattern=pattern)}")
         return _build(forced, key, pattern, n, mode)
     if len(pattern) > n:
+        from .baseline import TrivialRejectDetector
+
         return TrivialRejectDetector(pattern, n, mode)
     for fam in FAMILIES.values():
         if fam.patterns is not None and key in fam.patterns:
@@ -120,20 +144,22 @@ def new_detector(
                     "falling back to the full-storage baseline",
                     stacklevel=2,
                 )
-                return BaselineDetector(pattern, n, mode)
+                return _baseline(pattern, n, mode)
             return _build(fam, key, pattern, n, mode)
     warnings.warn(
         f"pattern {pattern} needs linear space (no sublinear one-pass detector "
         "exists for it); using the full-storage baseline",
         stacklevel=2,
     )
-    return BaselineDetector(pattern, n, mode)
+    return _baseline(pattern, n, mode)
 
 
 def _build(fam: Family, key: str, pattern: Pattern, n: int, mode: StreamMode) -> Detector:
     # the native builders read no more of the served pattern than its length
     detector = fam.native(pattern, n, mode)
     if fam.patterns is not None and fam.patterns[key]:
+        from .adapter import ComplementAdapter
+
         return ComplementAdapter(detector)
     return detector
 

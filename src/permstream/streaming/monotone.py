@@ -15,6 +15,7 @@ through values the array has since overwritten.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Iterable
 
 from ..core import PatternKind, StreamMode, classify_pattern
 from .base import Detector
@@ -35,14 +36,20 @@ class MonotoneDetector(Detector):
         self._x: list[int] = []
         self._note_space(k, k)
 
-    def _step(self, value: int) -> bool:
-        i = bisect_left(self._x, value)
-        if i == len(self._x):
-            self._x.append(value)
-            if len(self._x) == self.k:
-                return self._accept()
-        else:
-            self._x[i] = value
+    def _feed(self, values: Iterable[int]) -> bool:
+        # the k cells are metered once, in __init__: nothing here can outgrow them
+        x, k, pushes = self._x, self.k, self.pushes
+        for value in values:
+            pushes += 1
+            i = bisect_left(x, value)
+            if i < len(x):
+                x[i] = value
+            else:
+                x.append(value)
+                if len(x) == k:
+                    self.pushes = pushes
+                    return self._accept()
+        self.pushes = pushes
         return False
 
     def space_bound(self) -> tuple[str, float]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from typing import Iterable
 
 from ..core import StreamMode, classify_pattern
 from .base import Detector
@@ -169,25 +170,43 @@ class Detector231(Detector):
         # no value is below it.
         self._high_starter = 0
 
-    def _step(self, v: int) -> bool:
-        if v < self._high_starter:
-            return self._accept()
-        waiting = self._waiting_highs
-        if waiting and waiting[-1] > v:
-            kept = bisect_right(waiting, v)
-            self._record_cells += len(waiting) - kept
-            del waiting[kept:]
-        buf = self._buffer
-        buf.append(v)
-        if len(buf) == self.strip_size:
-            if self._close_strip():
-                return self._accept()
-        self._meter()
-        return False
+    def _feed(self, values: Iterable[int]) -> bool:
+        s, buf, waiting = self.strip_size, self._buffer, self._waiting_highs
+        high_starter, record_cells, pos = self._high_starter, self._record_cells, self.pushes
+        peak_cells, (peak_buffer, _) = self.peak_cells, self._size_peaks
+        accepted = False
+        for v in values:
+            pos += 1
+            if v < high_starter:
+                accepted = True
+                break
+            if waiting and waiting[-1] > v:
+                kept = bisect_right(waiting, v)
+                record_cells += len(waiting) - kept
+                del waiting[kept:]
+            buf.append(v)
+            if len(buf) == s:
+                self._record_cells = record_cells
+                if self._close_strip():
+                    accepted = True
+                    break
+                high_starter, record_cells = self._high_starter, self._record_cells
+            # the buffer grows on every value, so every value is metered
+            if 1 + len(buf) + record_cells > peak_cells:
+                peak_cells = 1 + len(buf) + record_cells
+            if len(buf) > peak_buffer:
+                peak_buffer = len(buf)
+        if pos > self.pushes:  # a value was read (the first one never accepts)
+            # closed strips are only ever added, and never on an accept
+            self._note_space(peak_cells, peak_buffer, len(self._records))
+        self._record_cells, self.pushes = record_cells, pos
+        return accepted and self._accept()
 
     def _end_check(self) -> bool:
-        if self._buffer and self._close_strip():
-            return True
+        if self._buffer:
+            if self._close_strip():
+                return True
+            self._note_space(1 + self._record_cells, 0, len(self._records))
         return any(rec.accepts_at_end() for rec in self._records)
 
     def _close_strip(self) -> bool:
@@ -232,16 +251,26 @@ class Detector231(Detector):
         if low_after is None:
             insort(self._waiting_highs, high)
         buf.clear()
-        self._meter()
         return False
 
     def space_bound(self) -> tuple[str, float]:
         return ("sqrt(n)", math.sqrt(self.n))
 
     def adversary(self) -> list[int] | None:
-        """The increasing stream: every strip closes with a record."""
-        return list(range(1, self.n + 1))
+        """Strip maxima in descending order, each followed by the next s - 1
+        lowest values in increasing order: ``n, 1..s-1, n-1, s..2s-2, ...``.
 
-    def _meter(self) -> None:
-        buffered = len(self._buffer)
-        self._note_space(1 + buffered + self._record_cells, buffered, len(self._records))
+        Every value lies below the values still to come or above all of
+        them, so the stream avoids 231.  Each strip starts with its maximum,
+        and so closes with the widest gap record and a ``low_after``: every
+        record holds all of its cells.
+        """
+        out: list[int] = []
+        lo, hi = 1, self.n
+        while lo <= hi:
+            out.append(hi)
+            hi -= 1
+            top = min(lo + self.strip_size - 1, hi + 1)
+            out.extend(range(lo, top))
+            lo = top
+        return out

@@ -33,9 +33,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from typing import Iterable
 
 from ..core import Occurrence, StreamMode, classify_pattern
 from .base import Detector
+
+
+def _largest_missing_below(window: list[int], h: int) -> int:
+    """The largest value below h not in the sorted window, which ends in h
+    (one such value is known to exist)."""
+    cand = h - 1
+    idx = len(window) - 2  # window[-1] is h
+    while idx >= 0 and window[idx] == cand:
+        idx -= 1
+        cand -= 1
+    return cand
 
 
 def default_window(n: int) -> int:
@@ -79,57 +91,56 @@ class Detector312(Detector):
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, b) for a, b, _, _ in self._pairs)
 
-    def _step(self, v: int) -> bool:
-        pos = self.pushes
-        window = self._window
-        # (1) v strictly inside a stored pair completes it; only the pair
-        # with the largest b below v can hold it.
-        lows = self._pair_lows
-        i = bisect_left(lows, v)
-        if i:
-            a, b, pa, pb = self._pairs[i - 1]
-            if a > v:
-                return self._accept(
-                    Occurrence(positions=(pa, pb, pos), values=(a, b, v))
-                )
-
-        h = self._h
-        if v > h:
-            # (2) new maximum: slide the window up to (v-k, v].
-            del window[: bisect_right(window, v - self.k)]
-            window.append(v)
-            self._h = v
-            self._h_pos = pos
-        elif v > h - self.k:
-            # (3) v lands in the window.  Any window value still missing
-            # above v must arrive later and completes (h, v, missing).
-            j = bisect_right(window, v)
-            if len(window) - j < h - v:
-                c = self._largest_missing_below_h()
-                return self._accept(
-                    Occurrence(positions=(self._h_pos, pos, None), values=(h, v, c))
-                )
-            window.insert(j, v)
-        else:
-            # (4) v undercuts the window: merge any pairs it is below (the
-            # suffix of D from i on) into the single wider pair (h, v).
-            del self._pairs[i:]
-            del lows[i:]
-            self._pairs.append((h, v, self._h_pos, pos))
-            lows.append(v)
-
-        self._meter()
-        return False
-
-    def _largest_missing_below_h(self) -> int:
-        """The largest value below h not in the window (one is known to exist)."""
-        window = self._window
-        cand = self._h - 1
-        idx = len(window) - 2  # window[-1] is h
-        while idx >= 0 and window[idx] == cand:
-            idx -= 1
-            cand -= 1
-        return cand
+    def _feed(self, values: Iterable[int]) -> bool:
+        k = self.k
+        h, h_pos, pos = self._h, self._h_pos, self.pushes
+        window, pairs, lows = self._window, self._pairs, self._pair_lows
+        peak_window, peak_pairs = self._size_peaks
+        occurrence = None
+        for v in values:
+            pos += 1
+            # (1) v strictly inside a stored pair completes it; only the pair
+            # with the largest b below v can hold it.
+            i = bisect_left(lows, v)
+            if i:
+                a, b, pa, pb = pairs[i - 1]
+                if a > v:
+                    occurrence = Occurrence(positions=(pa, pb, pos), values=(a, b, v))
+                    break
+            if v > h:
+                # (2) new maximum: slide the window up to (v-k, v].
+                del window[: bisect_right(window, v - k)]
+                window.append(v)
+                h, h_pos = v, pos
+                if len(window) > peak_window:
+                    peak_window = len(window)
+            elif v > h - k:
+                # (3) v lands in the window.  Any window value still missing
+                # above v must arrive later and completes (h, v, missing).
+                j = bisect_right(window, v)
+                if len(window) - j < h - v:
+                    c = _largest_missing_below(window, h)
+                    occurrence = Occurrence(positions=(h_pos, pos, None), values=(h, v, c))
+                    break
+                window.insert(j, v)
+                if len(window) > peak_window:
+                    peak_window = len(window)
+            else:
+                # (4) v undercuts the window: merge any pairs it is below (the
+                # suffix of D from i on) into the single wider pair (h, v).
+                del pairs[i:]
+                del lows[i:]
+                pairs.append((h, v, h_pos, pos))
+                lows.append(v)
+                if len(pairs) > peak_pairs:
+                    peak_pairs = len(pairs)
+        if pos > self.pushes:  # a value was read (the first one never accepts)
+            # h with its position is one stored point; the running index is
+            # one value; each pair entry keeps a value pair and a position pair.
+            peak_pairs = max(peak_pairs, 0)
+            self._note_space(2 + 2 * peak_pairs, peak_window, peak_pairs)
+        self._h, self._h_pos, self.pushes = h, h_pos, pos
+        return occurrence is not None and self._accept(occurrence)
 
     def space_bound(self) -> tuple[str, float]:
         n = self.n
@@ -143,9 +154,3 @@ class Detector312(Detector):
         for lo in range(1, self.n + 1, self.k + 1):
             out.extend(range(min(lo + self.k, self.n), lo - 1, -1))
         return out
-
-    def _meter(self) -> None:
-        # h with its position is one stored point; the running index is one
-        # value; each pair entry keeps a value pair and a position pair.
-        pairs = len(self._pairs)
-        self._note_space(2 + 2 * pairs, len(self._window), pairs)

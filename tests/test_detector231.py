@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
 from permstream import (
     Detector231,
+    StreamInstance,
     StreamMode,
+    complement,
     contains_bruteforce,
     new_detector,
     parse_pattern,
@@ -189,6 +192,76 @@ def test_213_via_complement_adapter_matches_oracle():
             assert verdict == want, tau
 
 
+def all_avoiders_231(n):
+    """Every 231-avoider of [1..n]: alpha, n, beta with alpha below beta, recursively."""
+    if n == 0:
+        return [()]
+    return [
+        (*alpha, n, *(x + k for x in beta))
+        for k in range(n)
+        for alpha in all_avoiders_231(k)
+        for beta in all_avoiders_231(n - 1 - k)
+    ]
+
+
+def oracle_231(seq):
+    """The oracle's verdict on a sequence of distinct values."""
+    inst = StreamInstance(max(seq), StreamMode.DISTINCT_SEQUENCE, seq)
+    return contains_bruteforce(inst, P231) is not None
+
+
+def oracle_accept(stream, contains):
+    """The value at which the strips design must accept, from the oracle alone.
+
+    It accepts at the first value that completes a 231 whose first two
+    values lie in one strip closed before it, or at the end of a strip that
+    holds a 231 of its own.  A closed strip holds none, so the first case
+    is the oracle's verdict (``contains``) on the strip followed by the
+    value.  Returns (the position or None, whether a strip's own 231
+    decided it).
+    """
+    s = max(1, math.isqrt(len(stream)))
+    closed = []
+    for t, v in enumerate(stream, start=1):
+        if any(contains((*strip, v)) for strip in closed):
+            return t, False
+        if t % s == 0:
+            strip = stream[t - s : t]
+            if contains(strip):
+                return t, True
+            closed.append(strip)
+    return None, False
+
+
+def verdict_and_accept(pattern, stream):
+    det = new_detector(pattern, len(stream))
+    accepted = det._feed(stream)
+    return det.finish().verdict, det.pushes if accepted else None
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_matches_oracle_on_every_avoider_and_a_swap_of_each(n):
+    # strips of 3 values (and at n = 10 a last strip of one, closed at
+    # finish), so a strip can hold a 231 and the in-strip scan decides
+    p213 = parse_pattern("213")
+    rng = random.Random(n)
+    strips_contain = lru_cache(maxsize=None)(oracle_231)  # strips recur across streams
+    by_scan = 0
+    for avoider in all_avoiders_231(n):
+        i, j = rng.sample(range(n), 2)
+        swapped = list(avoider)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for stream in (avoider, tuple(swapped)):
+            accept, scanned = oracle_accept(stream, strips_contain)
+            by_scan += scanned
+            assert verdict_and_accept(P231, stream) == (oracle_231(stream), accept), stream
+            # 213 on the complement runs the same strips through the adapter
+            mirrored = complement(stream, n)
+            want = contains_bruteforce(perm_instance(mirrored), p213) is not None
+            assert verdict_and_accept(p213, mirrored) == (want, accept), stream
+    assert by_scan > 100
+
+
 def test_verdict_only_reporting():
     rng = random.Random(41)
     for _ in range(100):
@@ -346,6 +419,18 @@ def test_records_match_whole_stream_counts_at_n400(name):
     peaks = rep.structure_peaks
     assert (rep.peak_cells, peaks["buffer"], peaks["strips"]) == N400_PEAKS[name]
     assert list(peaks) == ["buffer", "strips"]
+
+
+def test_adversary_drives_the_detector_to_its_peak():
+    det = Detector231(400)
+    adversary = det.adversary()
+    assert adversary[:22] == [400, *range(1, 20), 399, 20]
+    assert not det._feed(adversary)
+    rep = det.finish()
+    assert not rep.verdict
+    assert (rep.peak_cells, rep.structure_peaks) == (134, {"buffer": 19, "strips": 20})
+    # above every stream pinned at n = 400, the random avoider included
+    assert rep.peak_cells > max(peaks[0] for peaks in N400_PEAKS.values())
 
 
 # -- space ---------------------------------------------------------------------------

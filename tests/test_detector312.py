@@ -200,15 +200,15 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("stream, after, corrupt, message", CORRUPTIONS)
 def test_invariant_checker_flags_corrupted_state(stream, after, corrupt, message, monkeypatch):
-    step = Detector312._step
+    feed = Detector312._feed
 
-    def corrupting_step(det, v):
-        accepted = step(det, v)
+    def corrupting_feed(det, values):  # the replay pushes one value at a time
+        accepted = feed(det, values)
         if det.pushes == after:
             corrupt(det)
         return accepted
 
-    monkeypatch.setattr(Detector312, "_step", corrupting_step)
+    monkeypatch.setattr(Detector312, "_feed", corrupting_feed)
     with pytest.raises(InvariantViolation) as exc:
         replay_312_with_invariants(stream, 16)
     assert str(exc.value) == message
@@ -226,6 +226,28 @@ def test_space_stays_within_bounds_on_adversarial_stream():
     assert rep.structure_peaks["D"] <= math.ceil(n / k)
     assert rep.peak_cells == 2 + 2 * rep.structure_peaks["D"]
     assert rep.peak_bits == rep.peak_cells * 10 + k  # ceil(log2 1024) = 10
+
+
+def test_peaks_are_the_largest_sizes_after_each_push():
+    # the loop meters a structure only where it can grow; the peaks must
+    # still be the largest sizes seen after any non-accepting push
+    n = 200
+    rng = random.Random(13)
+    streams = [
+        list(range(1, n + 1)),  # the window grows only at new maxima
+        layered_avoider(n, default_window(n) + 1),
+        *(random_perm(n, rng) for _ in range(20)),
+    ]
+    for stream in streams:
+        det = Detector312(n)
+        top_a = top_d = 0
+        for v in stream:
+            if det.push(v):
+                break
+            top_a = max(top_a, len(det.window_values))
+            top_d = max(top_d, len(det.pairs))
+            assert det.structure_peaks == {"A": top_a, "D": top_d}, stream
+            assert det.peak_cells == 2 + 2 * top_d, stream
 
 
 def test_requires_permutation_mode():

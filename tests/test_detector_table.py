@@ -120,10 +120,10 @@ BENCH_ROWS = {
     ("312", 256): (1.0, "sqrt(n*log2(n))", 45.255, 4, 0.0884, 12, 0.2652, {"A": 45, "D": 5}, 8),
     ("132", 64): (1.0, "sqrt(n*log2(n))", 19.596, 4, 0.2041, 8, 0.4082, {"A": 19, "D": 3}, 6),
     ("132", 256): (1.0, "sqrt(n*log2(n))", 45.255, 4, 0.0884, 12, 0.2652, {"A": 45, "D": 5}, 8),
-    ("231", 64): (1.0, "sqrt(n)", 8.0, 8, 1.0, 22, 2.75, {"buffer": 7, "strips": 8}, 6),
-    ("231", 256): (1.0, "sqrt(n)", 16.0, 16, 1.0, 46, 2.875, {"buffer": 15, "strips": 16}, 8),
-    ("213", 64): (1.0, "sqrt(n)", 8.0, 8, 1.0, 22, 2.75, {"buffer": 7, "strips": 8}, 6),
-    ("213", 256): (1.0, "sqrt(n)", 16.0, 16, 1.0, 46, 2.875, {"buffer": 15, "strips": 16}, 8),
+    ("231", 64): (1.0, "sqrt(n)", 8.0, 8, 1.0, 50, 6.25, {"buffer": 7, "strips": 8}, 6),
+    ("231", 256): (1.0, "sqrt(n)", 16.0, 16, 1.0, 106, 6.625, {"buffer": 15, "strips": 16}, 8),
+    ("213", 64): (1.0, "sqrt(n)", 8.0, 8, 1.0, 50, 6.25, {"buffer": 7, "strips": 8}, 6),
+    ("213", 256): (1.0, "sqrt(n)", 16.0, 16, 1.0, 106, 6.625, {"buffer": 15, "strips": 16}, 8),
     ("4231", 64): (1.0, "n", 64.0, 64, 1.0, None, None, {}, 6),
     ("4231", 256): (1.0, "n", 256.0, 256, 1.0, None, None, {}, 8),
 }

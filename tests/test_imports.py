@@ -2,8 +2,9 @@
 
 The lab subcommands' module ``permstream.tools``, with the oracle and the
 generators it imports, the invariant replay and the process pool are loaded
-only by the subcommands that use them; the package namespaces resolve their
-re-exports on first use (PEP 562).
+only by the subcommands that use them; a detector module and the complement
+adapter are loaded only by a run that builds them; the package namespaces
+resolve their re-exports on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ sys.exit(code)
 """
 
 
-def loaded_modules(*argv: str) -> dict:
-    """Which of NOT_ON_DETECT_PATH are loaded after the import, and after main(argv)."""
+def loaded_modules(*argv: str, watched: tuple[str, ...] = NOT_ON_DETECT_PATH) -> dict:
+    """Which of ``watched`` are loaded after the import, and after main(argv)."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NOT_ON_DETECT_PATH), *argv],
+        [sys.executable, "-c", PROBE, json.dumps(watched), *argv],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -60,6 +61,25 @@ def loaded_modules(*argv: str) -> dict:
 def test_detect_loads_no_unused_module(pattern, values):
     argv = ("detect", "--pattern", pattern, "--values", values, "--n", "4", "--json")
     assert loaded_modules(*argv) == {"import": [], "detect": []}
+
+
+DETECTOR_MODULES = tuple(
+    f"permstream.streaming.{name}"
+    for name in ("adapter", "baseline", "monotone", "strips231", "window312")
+)
+
+
+@pytest.mark.parametrize("pattern, values, loaded", [
+    ("312", "3,1,2,4", ["window312"]),
+    ("213", "2,1,3,4", ["adapter", "strips231"]),
+    ("4321", "1,2,3,4", ["adapter", "monotone"]),
+    ("2413", "2,4,1,3", ["baseline"]),
+    ("12345", "1,2,3,4", ["baseline"]),  # the trivial rejector
+])
+def test_detect_loads_only_its_detector(pattern, values, loaded):
+    argv = ("detect", "--pattern", pattern, "--values", values, "--n", "4", "--json")
+    want = [f"permstream.streaming.{name}" for name in loaded]
+    assert loaded_modules(*argv, watched=DETECTOR_MODULES) == {"import": [], "detect": want}
 
 
 def test_detect_check_loads_the_oracle_only():

@@ -1,8 +1,10 @@
-"""One push path: ``Detector._feed`` is the only loop that steps a detector.
+"""One push path: each detector's ``_feed`` is the only loop that steps it.
 
 Batches of any size through ``_feed`` must give what the guarded ``push``
 gives one value at a time, and must not step, complement or even read a
-value past the accepting one.  ``detect`` feeds whole chunks, so its
+value past the accepting one.  The batches include sizes that end one value
+before, at and one value after a 231 strip boundary, where the strip loop
+hands over to the strip summary.  ``detect`` feeds whole chunks, so its
 ``accepted_after`` must still name the accepting value when the accept
 falls in a later chunk.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import random
 import warnings
 from itertools import islice, permutations
@@ -46,16 +49,8 @@ def by_push(pattern: str, stream) -> tuple:
 
 
 def by_feed(pattern: str, stream, batch: int | None) -> tuple:
-    """``_feed`` in batches, counting every step and every value read."""
+    """``_feed`` in batches, counting every value read."""
     det = build(pattern, len(stream))
-    stepped = det.inner if isinstance(det, ComplementAdapter) else det
-    steps = [0]
-
-    def counted(value, step=stepped._step):
-        steps[0] += 1
-        return step(value)
-
-    stepped._step = counted
     read = [0]
 
     def reading(values):
@@ -69,10 +64,18 @@ def by_feed(pattern: str, stream, batch: int | None) -> tuple:
         if det._feed(reading(stream[start : start + size])):
             accepted_at = det.pushes
             break
-    assert steps[0] == read[0] == det.pushes  # nothing past the accept
+    assert read[0] == det.pushes  # nothing past the accept
     if isinstance(det, ComplementAdapter):
         assert det.inner.pushes == det.pushes
     return det.pushes, accepted_at, det.finish()
+
+
+def batches(pattern: str, n: int) -> list[int | None]:
+    """BATCHES, and for the 231 family the sizes around its strip size."""
+    if pattern not in ("231", "213"):
+        return BATCHES
+    s = max(1, math.isqrt(n))
+    return [*BATCHES, *(size for size in (s - 1, s, s + 1) if size > 0)]
 
 
 def streams():
@@ -94,7 +97,7 @@ def test_batches_match_guarded_pushes(pattern):
     accepted = rejected = 0
     for stream in inputs:
         want = by_push(pattern, stream)
-        for batch in BATCHES:
+        for batch in batches(pattern, len(stream)):
             assert by_feed(pattern, stream, batch) == want, (stream, batch)
         accepted += want[2].verdict
         rejected += not want[2].verdict
@@ -111,9 +114,9 @@ def test_trivial_rejector_batches_match_guarded_pushes():
                 assert by_feed("4231", stream, batch) == want
 
 
-def test_step_is_called_only_by_feed():
+def test_feed_is_the_only_stepping_loop():
     uses: dict[str, list[tuple[str, ...]]] = {"_step": [], "_feed": []}
-    named = []
+    named, defined = [], []
     for path in sorted(SRC.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         if "_push_validated" in source:
@@ -122,15 +125,17 @@ def test_step_is_called_only_by_feed():
         def visit(node, scope):
             if isinstance(node, ast.Attribute) and node.attr in uses:
                 uses[node.attr].append((path.relative_to(SRC).as_posix(), *scope))
+            if isinstance(node, ast.FunctionDef) and node.name == "_step":
+                defined.append(path.name)
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 scope = (*scope, node.name)
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
 
         visit(ast.parse(source), ())
-    assert named == []
-    assert uses["_step"] == [("streaming/base.py", "Detector", "_feed")]
-    # whole batches only: no step relays a value to another detector's _feed
+    # no per-value hook beside the loops: each detector steps inside its _feed
+    assert named == defined == uses["_step"] == []
+    # whole batches only: no loop relays a value to another detector's _feed
     assert sorted(uses["_feed"]) == [
         ("cli.py", "cmd_detect"),
         ("streaming/adapter.py", "ComplementAdapter", "_feed"),
