@@ -163,12 +163,12 @@ def parse_pattern(text: str) -> Pattern:
     text = text.strip()
     if not text:
         raise ValueError("empty pattern")
-    if "," in text:
-        values = tuple(int(part) for part in text.split(","))
-    elif text.isdigit():
-        values = tuple(int(ch) for ch in text)
-    else:
-        raise ValueError(f"cannot parse pattern {text!r}: use digits ('312') or commas ('3,1,2')")
+    try:
+        values = tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(
+            f"cannot parse pattern {text!r}: use digits ('312') or commas ('3,1,2')"
+        ) from None
     return classify_pattern(values)
 
 

@@ -20,10 +20,11 @@ follows the values pushed, never n.  It rejects malformed pushes with a
 clear error and is boundary validation rather than algorithm state, so it
 is deliberately excluded from the metering.
 
-A loop meters only where one of its structures can grow, and hands its
-peaks to :meth:`Detector._note_space` once per exit, with positional sizes,
-one per name in ``structure_names``.  The peaks are those the structures
-reach after each non-accepting value.
+A loop meters only where one of its structures can grow, and writes
+``peak_cells`` and ``structure_peaks`` itself, once per exit.  The peaks are
+those the structures reach after each non-accepting value.  A new
+``structure_peaks`` dict is assigned each time, never edited in place,
+because :meth:`Detector.finish` hands it to the report.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class Detector:
 
     #: set by subclasses that keep bit-arrays (width in bits)
     bit_array_bits: int = 0
-    #: the structures ``_note_space`` sizes, in the order it takes them
-    structure_names: tuple[str, ...] = ()
 
     def __init__(self, pattern: Pattern, n: int, mode: StreamMode) -> None:
         if n < 1:
@@ -66,7 +65,7 @@ class Detector:
         self.occurrence: Occurrence | None = None
         self.pushes = 0
         self.peak_cells = 0
-        self._size_peaks = [-1, -1]  # -1 until the first _note_space
+        self.structure_peaks: dict[str, int] = {}  # peak size per structure
         self._finished = False
         self._validator: StreamValidator | None = None  # made on the first push
 
@@ -118,15 +117,6 @@ class Detector:
             structure_peaks=self.structure_peaks,
         )
 
-    @property
-    def structure_peaks(self) -> dict[str, int]:
-        """Peak size per structure, empty until the first ``_note_space``."""
-        return {
-            name: size
-            for name, size in zip(self.structure_names, self._size_peaks)
-            if size >= 0
-        }
-
     # -- hooks for subclasses -------------------------------------------
 
     def _end_check(self) -> bool:
@@ -150,17 +140,3 @@ class Detector:
         self.accepted = True
         self.occurrence = occurrence
         return True
-
-    def _note_space(self, cells: int, first: int = -1, second: int = -1) -> None:
-        """Raise the peaks to ``cells`` and to the sizes of ``structure_names``.
-
-        The sizes are positional, at most two (no detector keeps more
-        structures); -1 leaves a structure unmetered.
-        """
-        if cells > self.peak_cells:
-            self.peak_cells = cells
-        peaks = self._size_peaks
-        if first > peaks[0]:
-            peaks[0] = first
-        if second > peaks[1]:
-            peaks[1] = second

@@ -45,8 +45,6 @@ from .base import Detector
 class BaselineDetector(Detector):
     """Buffer everything, decide at finish with :func:`first_occurrence`."""
 
-    structure_names = ("buffer",)
-
     def __init__(self, pattern: Pattern, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         super().__init__(pattern, n, mode)
         self._buffer: list[int] = []
@@ -61,7 +59,8 @@ class BaselineDetector(Detector):
 
     def _end_check(self) -> bool:
         # the buffer only grows, so its size at the end is its peak
-        self._note_space(len(self._buffer), len(self._buffer))
+        self.peak_cells = len(self._buffer)
+        self.structure_peaks = {"buffer": len(self._buffer)}
         found = first_occurrence(self._buffer, self.pattern.values)
         if found is None:
             return False

@@ -17,24 +17,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
-from ..core import PatternKind, StreamMode, classify_pattern
+from ..core import StreamMode, classify_pattern
 from .base import Detector
 
 
 class MonotoneDetector(Detector):
     """Accepts once the stream holds an increasing subsequence of length k."""
 
-    structure_names = ("x-array",)
-
     def __init__(self, k: int, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         if k < 1:
             raise ValueError(f"pattern length must be at least 1, got {k}")
-        pattern = classify_pattern(tuple(range(1, k + 1)))
-        assert pattern.kind is PatternKind.INCREASING
-        super().__init__(pattern, n, mode)
+        super().__init__(classify_pattern(tuple(range(1, k + 1))), n, mode)
         self.k = k
         self._x: list[int] = []
-        self._note_space(k, k)
+        self.peak_cells, self.structure_peaks = k, {"x-array": k}
 
     def _feed(self, values: Iterable[int]) -> bool:
         # the k cells are metered once, in __init__: nothing here can outgrow them

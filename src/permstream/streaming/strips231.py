@@ -152,8 +152,6 @@ class Detector231(Detector):
     prove that a witness exists without storing its positions.
     """
 
-    structure_names = ("buffer", "strips")
-
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector231 requires a permutation stream")
@@ -173,7 +171,7 @@ class Detector231(Detector):
     def _feed(self, values: Iterable[int]) -> bool:
         s, buf, waiting = self.strip_size, self._buffer, self._waiting_highs
         high_starter, record_cells, pos = self._high_starter, self._record_cells, self.pushes
-        peak_cells, (peak_buffer, _) = self.peak_cells, self._size_peaks
+        peak_cells, peak_buffer = self.peak_cells, self.structure_peaks.get("buffer", 0)
         accepted = False
         for v in values:
             pos += 1
@@ -196,9 +194,9 @@ class Detector231(Detector):
                 peak_cells = 1 + len(buf) + record_cells
             if len(buf) > peak_buffer:
                 peak_buffer = len(buf)
-        if pos > self.pushes:  # a value was read (the first one never accepts)
-            # closed strips are only ever added, and never on an accept
-            self._note_space(peak_cells, peak_buffer, len(self._records))
+        # closed strips are only ever added, and never on an accept
+        self.peak_cells = peak_cells
+        self.structure_peaks = {"buffer": peak_buffer, "strips": len(self._records)}
         self._record_cells, self.pushes = record_cells, pos
         return accepted and self._accept()
 
@@ -206,7 +204,8 @@ class Detector231(Detector):
         if self._buffer:
             if self._close_strip():
                 return True
-            self._note_space(1 + self._record_cells, 0, len(self._records))
+            self.peak_cells = max(self.peak_cells, 1 + self._record_cells)
+            self.structure_peaks = {**self.structure_peaks, "strips": len(self._records)}
         return any(rec.accepts_at_end() for rec in self._records)
 
     def _close_strip(self) -> bool:

@@ -58,8 +58,6 @@ def default_window(n: int) -> int:
 class Detector312(Detector):
     """Streaming detector for the pattern 312 on permutation streams."""
 
-    structure_names = ("A", "D")
-
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION, k: int | None = None) -> None:
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector312 requires a permutation stream")
@@ -95,7 +93,8 @@ class Detector312(Detector):
         k = self.k
         h, h_pos, pos = self._h, self._h_pos, self.pushes
         window, pairs, lows = self._window, self._pairs, self._pair_lows
-        peak_window, peak_pairs = self._size_peaks
+        peak_window = self.structure_peaks.get("A", 0)
+        peak_pairs = self.structure_peaks.get("D", 0)
         occurrence = None
         for v in values:
             pos += 1
@@ -134,11 +133,10 @@ class Detector312(Detector):
                 lows.append(v)
                 if len(pairs) > peak_pairs:
                     peak_pairs = len(pairs)
-        if pos > self.pushes:  # a value was read (the first one never accepts)
-            # h with its position is one stored point; the running index is
-            # one value; each pair entry keeps a value pair and a position pair.
-            peak_pairs = max(peak_pairs, 0)
-            self._note_space(2 + 2 * peak_pairs, peak_window, peak_pairs)
+        # h with its position is one stored point; the running index is one
+        # value; each pair entry keeps a value pair and a position pair.
+        self.peak_cells = 2 + 2 * peak_pairs
+        self.structure_peaks = {"A": peak_window, "D": peak_pairs}
         self._h, self._h_pos, self.pushes = h, h_pos, pos
         return occurrence is not None and self._accept(occurrence)
 

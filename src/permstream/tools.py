@@ -469,8 +469,8 @@ def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
         "accept_rate": accepts / trials if trials else None,
         "bound": bound_name,
         "bound_value": round(bound, 3),
-        "random_peak_cells": random_peak,
-        "random_ratio": round(random_peak / bound, 4),
+        "random_peak_cells": random_peak if trials else None,
+        "random_ratio": round(random_peak / bound, 4) if trials else None,
         "adversarial_peak_cells": adv_peak,
         "adversarial_ratio": round(adv_peak / bound, 4) if adv_peak else None,
         "adversarial_structures": adv_structures,
@@ -500,12 +500,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     human.append(header)
     for row in rows:
+        # '-' for what a row did not measure: no trials, or no adversary
+        cell = {key: "-" if value is None else value for key, value in row.items()}
         human.append(
-            f"{row['n']:>8} {row['bound_value']:>18} {row['random_peak_cells']:>10} "
-            f"{row['random_ratio']:>8} "
-            f"{row['adversarial_peak_cells'] if row['adversarial_peak_cells'] is not None else '-':>9} "
-            f"{row['adversarial_ratio'] if row['adversarial_ratio'] is not None else '-':>8} "
-            f"{row['seconds']:>7}"
+            f"{cell['n']:>8} {cell['bound_value']:>18} {cell['random_peak_cells']:>10} "
+            f"{cell['random_ratio']:>8} {cell['adversarial_peak_cells']:>9} "
+            f"{cell['adversarial_ratio']:>8} {cell['seconds']:>7}"
         )
     _emit(
         args,

@@ -108,6 +108,14 @@ MUTANTS = (
         ("tests/test_detector312.py::test_peaks_are_the_largest_sizes_after_each_push",),
     ),
     Mutant(
+        # only a stream whose pair count falls without an accept tells them apart
+        "window312-pairs-peak-is-the-current-count",
+        "permstream/streaming/window312.py",
+        "        self.structure_peaks = {\"A\": peak_window, \"D\": peak_pairs}\n",
+        "        self.structure_peaks = {\"A\": peak_window, \"D\": len(pairs)}\n",
+        ("tests/test_detector312.py::test_peaks_are_the_largest_sizes_after_each_push",),
+    ),
+    Mutant(
         "monotone-accept-one-push-short",
         "permstream/streaming/monotone.py",
         "                    self.pushes = pushes\n",
@@ -163,6 +171,14 @@ MUTANTS = (
         ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[avoider]",),
     ),
     Mutant(
+        "strips231-end-check-telemetry-unwritten",
+        "permstream/streaming/strips231.py",
+        "            self.peak_cells = max(self.peak_cells, 1 + self._record_cells)\n"
+        "            self.structure_peaks = {**self.structure_peaks, \"strips\": len(self._records)}\n",
+        "",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_on_small_permutations",),
+    ),
+    Mutant(
         # the verdicts stay right (the records still see each 231 at finish):
         # only the accept position moves
         "strips231-scan-never-updates-best",
@@ -170,6 +186,13 @@ MUTANTS = (
         "            best = prefix[i - 1]\n",
         "            pass\n",
         ("tests/test_detector231.py::test_matches_oracle_on_every_avoider_and_a_swap_of_each[9]",),
+    ),
+    Mutant(
+        "baseline-structure-peaks-unwritten",
+        "permstream/streaming/baseline.py",
+        "        self.structure_peaks = {\"buffer\": len(self._buffer)}\n",
+        "",
+        ("tests/test_baseline.py::test_extended_streams_match_the_oracle",),
     ),
 )
 

@@ -420,6 +420,12 @@ MISSING = "/no/such/dir/stream.txt"
      "bad --values: invalid literal for int() with base 10: 'x'"),
     (["detect", "--pattern", "3a1", "--values", "1,2", "--n", "2"],
      "cannot parse pattern '3a1': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", "1,x", "--values", "1,2", "--n", "2"],
+     "cannot parse pattern '1,x': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", ",1", "--values", "1,2", "--n", "2"],
+     "cannot parse pattern ',1': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", "²", "--values", "1,2", "--n", "2"],
+     "cannot parse pattern '²': use digits ('312') or commas ('3,1,2')"),
     (["oracle", "--pattern", "21", "--values", "2,1", "--n", "3", "--mode", "seq",
       "--split", "1"],
      "--split needs a permutation stream (mode=perm)"),
@@ -472,6 +478,16 @@ def test_bench_monotone_bound_is_k(capsys):
                    "--json") == 0
     row = json_out(capsys)["rows"][0]
     assert row["bound"] == "k" and row["bound_value"] == 3.0
+
+
+def test_bench_without_trials_reports_no_random_peak(capsys):
+    argv = ("bench", "--pattern", "312", "--sizes", "64", "--trials", "0")
+    assert run_cli(*argv, "--json") == 0
+    row = json_out(capsys)["rows"][0]
+    assert row["accept_rate"] is row["random_peak_cells"] is row["random_ratio"] is None
+    assert row["adversarial_peak_cells"] is not None
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[2:4] == ["-", "-"]
 
 
 def test_bench_usage_errors():

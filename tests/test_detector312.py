@@ -233,9 +233,12 @@ def test_peaks_are_the_largest_sizes_after_each_push():
     # still be the largest sizes seen after any non-accepting push
     n = 200
     rng = random.Random(13)
+    layers = layered_avoider(n - 40, default_window(n) + 1)
     streams = [
         list(range(1, n + 1)),  # the window grows only at new maxima
         layered_avoider(n, default_window(n) + 1),
+        # D peaks at 4 pairs, then the low run merges them into one
+        [v + 40 for v in layers] + list(range(40, 0, -1)),
         *(random_perm(n, rng) for _ in range(20)),
     ]
     for stream in streams:
