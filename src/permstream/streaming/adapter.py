@@ -4,11 +4,12 @@ A stream contains a pattern exactly when the complemented stream (v -> n+1-v)
 contains the complemented pattern.  The adapter feeds the inner detector each
 batch complemented lazily (nothing past the accept) and re-complements any
 reported witness values; positions and ``pushes`` pass through untouched.
-It adds no storage of its own, so the inner detector's space telemetry and
-space bound are reported as-is, and its adversary is complemented like any
-stream.  Validation happens once, on the adapter's own push, so errors name
-the value the caller pushed and the inner detector never allocates a second
-duplicate guard.
+It adds no storage of its own, so the inner detector's space telemetry,
+copied after each batch and at finish, and its space bound are reported
+as-is, and its adversary is complemented like any stream.  Validation
+happens once, on the adapter's own push, so errors name the value the
+caller pushed and the inner detector never allocates a second duplicate
+guard.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ class ComplementAdapter(Detector):
         inner = self.inner
         accepted = inner._feed(map((self.n + 1).__sub__, values))
         self.pushes = inner.pushes
+        self.peak_cells, self.structure_peaks = inner.peak_cells, inner.structure_peaks
         return accepted and self._accept(self._map_occurrence(inner.occurrence))
 
     def finish(self) -> DetectorReport:
         report = self.inner.finish()  # only the adapter finishes it: a second call raises
         self._finished = True
+        self.peak_cells, self.structure_peaks = report.peak_cells, report.structure_peaks
         return report._replace(occurrence=self._map_occurrence(report.occurrence))
 
     def space_bound(self) -> tuple[str, float]:

@@ -13,20 +13,33 @@ pattern.  With a value fixed at every slot before the last three (the
 completed: it moves the position of y forward and keeps two sorted lists,
 the values between the prefix and y and the values after y.  x and z then
 each lie in a value interval, so each is one ``bisect`` away, and their
-relative order is one comparison of the extreme candidates.  A
-position-order loop places the prefix (a single start value for length-4
-patterns, nothing for length 3) and stops at the first prefix the sweep
-completes.  The witness is then picked greedily, slot by slot: x at the
-first position from which the other two slots can follow (one scan per
-candidate, and only positions before the y the sweep found are
-candidates), y as the first the sweep returns with x fixed, and z by a
-scan.  So it is the position-lexicographically first occurrence, as the
-oracle's.  Counting each sorted-list update as one step (it is one C-level
-memmove), a sweep costs O(m log m) on m buffered values, so deciding costs
+relative order is one comparison of the extreme candidates.  The sweep
+stops as soon as no z is left after y.  A position-order loop places the
+prefix (a single start value for length-4 patterns, nothing for length 3)
+and stops at the first prefix the sweep completes.  The witness is then
+picked greedily, slot by slot: x at the first position from which the
+other two slots can follow (one scan per candidate, and only positions
+before the y the sweep found are candidates), y as the first the sweep
+returns with x fixed, and z by a scan.  So it is the
+position-lexicographically first occurrence, as the oracle's.
+
+The prefix loop and the choice of x skip each candidate that a failed one
+at the same slot, after the same earlier values, *dominates*
+(:func:`_undominated`): every completion of it would have completed the
+failed one, so it fails too and the first occurrence stays.  When the
+later slots a slot bounds all lie on one side of it, every candidate on
+that side of a failed value is skipped: for the 4 of 4231, each value
+below a failed one.  When they lie on both sides, as around the 3 of 3142,
+only those that no later value separates from a failed one are skipped.
+
+Counting each sorted-list update as one step (it is one C-level memmove),
+a sweep costs O(m log m) on m buffered values, so deciding costs
 O(m log m) for a length-3 pattern, O(m^2 log m) for length 4 and
 O(m^(k-2) log m) for length k, against the oracle's about O(m^k) on
-streams that avoid the pattern; the witness adds at most O(m^2).  Extra
-memory is O(m) cells; nothing is sized from n.
+streams that avoid the pattern; the witness adds at most O(m^2).  The
+skipping costs one update per candidate and one sort after a loop's first
+failed sweep or scan, so it keeps these bounds.  Extra memory is O(m)
+cells; nothing is sized from n.
 
 The trivial rejector serves patterns longer than the universe: nothing can
 match, so it stores nothing and always rejects.
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core import Occurrence, Pattern, StreamMode
 from .base import Detector
@@ -114,26 +127,71 @@ def first_occurrence(values: Sequence[int], pattern: Sequence[int]) -> tuple[int
                 upper[t] = i
     last = list(zip(lower[j:], upper[j:]))
     pos = [0] * j
+    # slot d's value enters only the bounds of the later slots it is nearest to
+    sides = [
+        _sides(pattern[d], [pattern[t] for t in range(d + 1, k) if d in (lower[t], upper[t])])
+        for d in range(j)
+    ]
 
     def place(d: int, start: int) -> tuple[int, ...] | None:
         if d == j:
             bounds = [(val[a], val[b]) for a, b in last]
             return _close(values, start, pattern[j:], bounds)
-        lo, hi = val[lower[d]], val[upper[d]]
-        for p in range(start, m - (k - d) + 1):
-            v = values[p]
-            if lo < v < hi:
-                pos[d] = p
-                val[d] = v
-                found = place(d + 1, p + 1)
-                if found is not None:
-                    return found
+        stop, lo, hi = m - (k - d) + 1, val[lower[d]], val[upper[d]]
+        for p in _undominated(values, start, stop, lo, hi, sides[d]):
+            pos[d] = p
+            val[d] = values[p]
+            found = place(d + 1, p + 1)
+            if found is not None:
+                return found
         return None
 
     found = place(0, 0)
     if found is None:
         return None
     return tuple(pos) + found
+
+
+def _sides(at: int, bounded: Sequence[int]) -> tuple[bool, bool]:
+    """Whether some of the pattern values ``bounded`` lie below ``at``, and above it."""
+    return any(b < at for b in bounded), any(b > at for b in bounded)
+
+
+def _undominated(
+    values: Sequence[int], start: int, stop: int, lo: int, hi: int, sides: tuple[bool, bool]
+) -> Iterator[int]:
+    """The positions in ``[start, stop)`` of one slot's candidates, less dominated ones.
+
+    A candidate's value lies in ``(lo, hi)``; ``sides`` is :func:`_sides` of
+    the slot and the later slots its value bounds.  The caller stops at the
+    first candidate that completes, so each resumption means the last one
+    failed.  A failed value w dominates a candidate v at p when w > v and
+    no bounded slot lies above the slot or no value after p lies between v
+    and w, or likewise with w < v and below.  Each completion of v then
+    completes w: its values lie after p, each on the same side of w as of v.
+    The nearest failed value on each side is the one to test, and a value
+    between two candidates is a candidate too, so ``later`` holds only those.
+    """
+    below, above = sides
+    failed: list[int] = []  # the values tried, sorted
+    later: list[int] = []  # once one fails, the sorted candidate values after p
+    for p in range(start, stop):
+        v = values[p]
+        if not lo < v < hi:
+            continue
+        i = 0
+        if failed:
+            r = bisect_left(later, v)
+            del later[r]
+            i = bisect_left(failed, v)
+            if i and (not below or bisect_right(later, failed[i - 1]) == r):
+                continue
+            if i < len(failed) and (not above or bisect_left(later, failed[i]) == r):
+                continue
+        yield p
+        if not failed:
+            later = sorted([u for u in values[p + 1 :] if lo < u < hi])
+        failed.insert(i, v)
 
 
 def _first_short(values: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
@@ -168,8 +226,8 @@ def _close(
     # some completion puts x before first_y, so the first x is there too
     lx, hx = bounds[0]
     x = next(
-        x for x in range(start, first_y)
-        if lx < values[x] < hx and _pair_follows(values, x, slots, bounds)
+        x for x in _undominated(values, start, first_y, lx, hx, _sides(slots[0], slots[1:]))
+        if _pair_follows(values, x, slots, bounds)
     )
     y = _sweep(values, x, x + 1, slots, bounds)  # x alone between
     # z: the first value after y on the pattern's side of x's and y's values
@@ -222,6 +280,7 @@ def _sweep(
     value and with each other.
     """
     px, py, pz = slots
+    x_below, z_below, x_lowest = px < py, pz < py, px < pz
     (lx, hx), (ly, hy), (lz, hz) = bounds
     # the sorted values that fit x's interval at positions start..min(y, x_stop) - 1,
     # and those that fit z's interval at positions after y
@@ -231,14 +290,16 @@ def _sweep(
         vy = values[y]
         if lz < vy < hz:
             del after[bisect_left(after, vy)]
+            if not after:  # no z is left for this y or any later one
+                return None
         if y <= x_stop and lx < values[y - 1] < hx:
             insort(between, values[y - 1])
         if not ly < vy < hy:
             continue
         # x and z narrowed by y's value: each is one interval
-        xl, xh = (lx, min(hx, vy)) if px < py else (max(lx, vy), hx)
-        zl, zh = (lz, min(hz, vy)) if pz < py else (max(lz, vy), hz)
-        if px < pz:  # is the smallest x below the largest z?
+        xl, xh = (lx, min(hx, vy)) if x_below else (max(lx, vy), hx)
+        zl, zh = (lz, min(hz, vy)) if z_below else (max(lz, vy), hz)
+        if x_lowest:  # is the smallest x below the largest z?
             i = bisect_right(between, xl)
             r = bisect_left(after, zh) - 1
             if i < len(between) and between[i] < xh and r >= 0 and after[r] > zl:

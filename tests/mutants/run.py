@@ -194,6 +194,42 @@ MUTANTS = (
         "",
         ("tests/test_baseline.py::test_extended_streams_match_the_oracle",),
     ),
+    Mutant(
+        "baseline-dominance-side-inverted",
+        "permstream/streaming/baseline.py",
+        "    return any(b < at for b in bounded), any(b > at for b in bounded)\n",
+        "    return any(b > at for b in bounded), any(b < at for b in bounded)\n",
+        ("tests/test_baseline.py::test_pruned_prefix_slots_match_the_oracle[15234]",),
+    ),
+    Mutant(
+        # the skipped candidate may complete through a later value in between
+        "baseline-dominance-ignores-values-between",
+        "permstream/streaming/baseline.py",
+        "            if i and (not below or bisect_right(later, failed[i - 1]) == r):\n",
+        "            if i:\n",
+        ("tests/test_baseline.py::test_pruned_prefix_slots_match_the_oracle[25314]",),
+    ),
+    Mutant(
+        # the verdicts stay right: only the sweep's work grows
+        "baseline-dead-sweep-exit-before-the-del",
+        "permstream/streaming/baseline.py",
+        "        if lz < vy < hz:\n"
+        "            del after[bisect_left(after, vy)]\n"
+        "            if not after:  # no z is left for this y or any later one\n"
+        "                return None\n",
+        "        if not after:  # no z is left for this y or any later one\n"
+        "            return None\n"
+        "        if lz < vy < hz:\n"
+        "            del after[bisect_left(after, vy)]\n",
+        ("tests/test_baseline.py::test_pruning_work_is_pinned_on_a_front4_instance",),
+    ),
+    Mutant(
+        "adapter-telemetry-uncopied",
+        "permstream/streaming/adapter.py",
+        "        self.peak_cells, self.structure_peaks = inner.peak_cells, inner.structure_peaks\n",
+        "",
+        ("tests/test_dispatch.py::test_adapter_telemetry_follows_the_inner_detector_mid_run[132]",),
+    ),
 )
 
 

@@ -4,9 +4,9 @@ The baseline decides containment with its own sweep matcher
 (`permstream.streaming.baseline.first_occurrence`); these tests compare its
 verdict and its occurrence, which must be the position-lexicographically
 first one, with `contains_bruteforce`, and pin the space telemetry the
-baseline reports.  The last two tests check that the detector modules and
-the oracle import nothing from each other, so that these comparisons can
-fail.
+baseline reports and the work its pruning saves.  The last two tests check
+that the detector modules and the oracle import nothing from each other, so
+that these comparisons can fail.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import ast
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from permstream.hardgen import (
     gen_seq312,
 )
 from permstream import oracle, streaming
+from permstream.streaming import baseline as baseline_module
 from permstream.streaming.baseline import first_occurrence
 from conftest import all_patterns, perm_instance, random_perm, seq_instance
 
@@ -116,6 +118,42 @@ def test_random_permutations_with_longer_patterns():
             inst = perm_instance(random_perm(n, rng))
             for pattern in patterns:
                 assert_matches_oracle(inst, pattern)
+
+
+# In 15234, 54123, 165234 and 615432 each prefix slot bounds later slots on one
+# side only, so a failed candidate rules out every later one on that side of it;
+# 25314 and 14253 have a slot that bounds both sides, and slot 2 of 132465 none.
+@pytest.mark.parametrize("name", ["15234", "54123", "165234", "615432", "25314", "14253", "132465"])
+def test_pruned_prefix_slots_match_the_oracle(name):
+    rng = random.Random(74)
+    pattern = parse_pattern(name)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(len(name), 11)
+        if rng.random() < 0.5:
+            inst = perm_instance(random_perm(n, rng))
+        else:
+            inst = seq_instance(tuple(rng.sample(range(1, 2 * n + 1), n)), 2 * n)
+        verdicts.add(assert_matches_oracle(inst, pattern))
+    assert verdicts == {True, False}
+
+
+def test_pruning_work_is_pinned_on_a_front4_instance(monkeypatch):
+    # The matcher's work on one disjoint 4231 instance, m = 32.  Without the
+    # pruning of dominated start values it makes 29 sweeps; a sweep that runs on
+    # after its last z makes more sorted-list steps.  Change the numbers only
+    # with the matcher's work, and say why.
+    odd, even = set(range(1, 9, 2)), set(range(2, 9, 2))
+    disj = gen_pi4_front(parse_pattern("4231"), 8, odd, even)
+    counts = Counter()
+    for name in ("_sweep", "bisect_left", "bisect_right", "insort"):
+        def counted(*args, _fn=getattr(baseline_module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(baseline_module, name, counted)
+    assert first_occurrence(disj.stream.elements, disj.pattern.values) is None
+    assert counts == {"_sweep": 12, "insort": 92, "bisect_left": 256, "bisect_right": 120}
 
 
 # -- every hardgen construction, intersecting and disjoint --------------------------

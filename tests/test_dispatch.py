@@ -285,6 +285,31 @@ def test_adapter_matches_direct_complement_run():
             assert a == b
 
 
+@pytest.mark.parametrize("pattern", ["132", "213"])
+def test_adapter_telemetry_follows_the_inner_detector_mid_run(pattern):
+    n = 10_000
+    det = new_detector(parse_pattern(pattern), n, PERM)
+    assert isinstance(det, ComplementAdapter)
+    stream = det.adversary()
+    for cut in (n // 2, n):
+        det._feed(stream[det.pushes : cut])
+        assert not det.accepted
+        assert det.peak_cells == det.inner.peak_cells > 0
+        assert det.structure_peaks == det.inner.structure_peaks != {}
+    report = det.finish()
+    assert (report.peak_cells, report.structure_peaks) == (det.peak_cells, det.structure_peaks)
+
+
+def test_adapter_telemetry_follows_the_inner_detector_at_finish():
+    # the 231 detector's end check closes its last strip: the peaks move at finish
+    det = new_detector(parse_pattern("213"), 5, PERM)
+    det._feed((1, 2, 3, 4, 5))
+    assert (det.peak_cells, det.structure_peaks) == (8, {"buffer": 1, "strips": 2})
+    report = det.finish()
+    assert (report.peak_cells, report.structure_peaks) == (9, {"buffer": 1, "strips": 3})
+    assert (det.peak_cells, det.structure_peaks) == (9, {"buffer": 1, "strips": 3})
+
+
 def test_dispatched_detectors_match_oracle_small():
     pats = all_patterns(2, 3)
     for n in range(1, 6):
