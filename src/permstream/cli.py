@@ -29,6 +29,7 @@ from .core import (
     StreamValidator,
     checked_instance,
     iter_stream_text,
+    parse_int,
     parse_pattern,
 )
 from .streaming.dispatch import FAMILIES, new_detector
@@ -78,7 +79,7 @@ def _stream_chunks(args: argparse.Namespace) -> Iterator:
         if args.n is None:
             raise UsageError("--values needs --n to fix the universe size")
         try:
-            values = [int(v) for v in args.values.split(",")]
+            values = [parse_int(v) for v in args.values.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad --values: {exc}") from exc
         return iter([(args.n, StreamMode.from_token(args.mode)), values])

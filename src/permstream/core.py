@@ -431,12 +431,30 @@ READ_CHARS = 1 << 16
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+def parse_int(token: str) -> int:
+    """The integer of ``token``: ASCII digits with an optional leading ``-``.
+
+    Unlike ``int(token)``, rejects ``_`` digit groups, a ``+`` sign and
+    non-ASCII digits, with the ValueError ``int()`` gives for a bad literal.
+
+    >>> parse_int("-4"), parse_int("007")
+    (-4, 7)
+    >>> parse_int("1_0")
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid literal for int() with base 10: '1_0'
+    """
+    if token.isascii() and "_" not in token and "+" not in token:
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
 def _parse_header(line: str) -> tuple[int, StreamMode]:
     parts = line.split()
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("mode="):
         raise ValueError(f"malformed header {line!r} (expected 'n=<int> mode=<perm|seq>')")
     try:
-        n = int(parts[0][2:])
+        n = parse_int(parts[0][2:])
     except ValueError:
         raise ValueError(f"malformed universe size in header {line!r}") from None
     return n, StreamMode.from_token(parts[1][5:])
@@ -453,9 +471,10 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     whole.  Lines split
     as :meth:`str.splitlines` splits them, so ``\\r``, ``\\f``, ``\\u2028``
     and the other boundaries it knows end a line (and may start a comment)
-    too.  Raises ValueError on a missing or malformed header and on a
-    non-integer value, once the tokenizer reaches it.  Nothing is validated:
-    see :class:`StreamValidator`.
+    too.  A value is ASCII digits with an optional leading ``-``
+    (:func:`parse_int`).  Raises ValueError on a missing or malformed header
+    and on any other value, once the tokenizer reaches it.  Nothing is
+    validated: see :class:`StreamValidator`.
 
     >>> chunks = iter_stream_text(io.StringIO("# demo\\nn=3 mode=perm\\n3 1\\n2\\n"))
     >>> next(chunks)
@@ -506,8 +525,11 @@ def iter_stream_text(fh: TextIO) -> Iterator:
             end -= 1
         if end:
             mid_line = text[end - 1] not in _LINE_BREAKS
+        # int() alone would take "_" groups, a "+" and non-ASCII digits: when
+        # the whole text has none, its words need no check of their own
+        strict = text.isascii() and "_" not in text and "+" not in text
         try:
-            values = list(map(int, words))
+            values = list(map(int if strict else parse_int, words))
         except ValueError as exc:
             raise ValueError(f"non-integer stream value: {exc}") from None
         del text, words  # while the consumer runs, only the values stay alive

@@ -8,11 +8,11 @@ strips, four summaries suffice:
 2. ``high_starter`` -- the highest value that starts an ascent inside some
    closed strip; any later lower value completes a 231 (the ascent, then the
    new value);
-3. per strip, the widest *decreasing pair with an outside value strictly
-   between*: a counter tracks how many values strictly between its endpoints
-   have been seen in or after the strip; if at end of stream the counter is
-   short of the gap size, some in-between value occurred *earlier*, and that
-   value, followed by the pair, forms a 231;
+3. per strip that has one, the widest *decreasing pair with an outside value
+   strictly between*: a counter tracks how many values strictly between its
+   endpoints have been seen in or after the strip; if at end of stream the
+   counter is short of the gap size, some in-between value occurred
+   *earlier*, and that value, followed by the pair, forms a 231;
 4. per strip, its maximum together with the lowest later value below it:
    the same counting argument with the pair (maximum, running minimum).
 
@@ -21,14 +21,18 @@ have occurred earlier", so this detector needs the permutation promise and
 delivers verdict-only acceptance: it proves existence without ever holding
 all three witness positions at once.
 
-Because only the end-of-stream check reads the counters of (3) and (4), they
-are not updated per push: when a strip closes, its sorted values are folded
-into every earlier record with a few bisects.  The metered cell count is kept
-incrementally; the one cell a record gains when its first value below the
-strip maximum arrives is counted on that exact push, from a sorted list of
-the maxima still waiting for one.  Closing a strip costs O(s log s) for the
-strip's own scans plus O(log s) per earlier record, so a push costs
-O(log n) amortized.
+Summaries (3) and (4) are kept as parallel lists, one list per field.  (3)
+has an entry only for a strip with such a pair; (4) has one per closed
+strip, whose lowest later value is the maximum itself until a lower value
+arrives.  Because only the end-of-stream check reads their counters, they
+are not updated per push: when a strip closes, each counter list is folded
+with the strip's sorted values in one comprehension, a few bisects per
+entry.  The metered cell count is kept incrementally; the one cell a (4)
+entry gains when its first value below the strip maximum arrives is counted
+on that exact push, from a sorted list of the maxima still waiting for one.
+Closing a strip costs O(s log s) for the strip's sort plus O(log s) per
+earlier strip (the in-strip scans are linear), so a push costs O(log n)
+amortized.
 
 Space: one buffer of at most floor(sqrt(n)) points plus a constant number of
 counters per closed strip.
@@ -44,77 +48,23 @@ from ..core import StreamMode, classify_pattern
 from .base import Detector
 
 
-class StripRecord:
-    """Counters summarizing one closed strip.
-
-    ``gap_lo``/``gap_hi`` bound the widest decreasing pair with an outside
-    value strictly between (None when the strip has no such pair); ``seen``
-    counts values strictly between them observed in or after the strip.
-    ``high`` is the strip maximum, ``low_after`` the lowest value observed
-    below it from within-strip-after-it onwards, and ``seen_below`` how many
-    such values were observed.  Values after the strip are folded in when
-    each later strip closes.
-    """
-
-    __slots__ = ("gap_lo", "gap_hi", "seen", "high", "low_after", "seen_below")
-
-    def __init__(
-        self,
-        gap_lo: int | None,
-        gap_hi: int | None,
-        seen: int,
-        high: int,
-        low_after: int | None,
-        seen_below: int,
-    ) -> None:
-        self.gap_lo = gap_lo
-        self.gap_hi = gap_hi
-        self.seen = seen
-        self.high = high
-        self.low_after = low_after
-        self.seen_below = seen_below
-
-    def fold(self, ordered: list[int]) -> None:
-        """Count the sorted values of a later strip."""
-        if self.gap_lo is not None:
-            self.seen += bisect_left(ordered, self.gap_hi) - bisect_right(ordered, self.gap_lo)
-        below = bisect_left(ordered, self.high)
-        if below:
-            self.seen_below += below
-            if self.low_after is None or ordered[0] < self.low_after:
-                self.low_after = ordered[0]
-
-    def accepts_at_end(self) -> bool:
-        if self.gap_lo is not None and self.seen < self.gap_hi - self.gap_lo - 1:
-            return True
-        return (
-            self.low_after is not None
-            and self.seen_below < self.high - self.low_after
-        )
-
-    def cells(self) -> int:
-        return (3 if self.gap_lo is not None else 0) + 2 + (
-            1 if self.low_after is not None else 0
-        )
-
-
 def contains_231(seq: list[int]) -> bool:
-    """Direct scan for 231 in a short sequence of distinct positive values.
+    """Direct scan for 231 in a short sequence of distinct values, in one stack pass.
 
-    For each candidate middle index j (the pattern's high point), the best
-    possible first value is the largest earlier value below seq[j], found
-    by bisecting the sorted prefix; a later value below any such best
-    completes the pattern.
+    A sequence avoids 231 exactly when one stack sorts it (Knuth, TAOCP
+    vol. 1, 2.2.1).  Each value pops the lower values off the stack: a
+    popped value is then the 2 of an ascent to the 3 that popped it, so any
+    later value below it completes a 231.  Later pops only go higher, so the
+    last value popped is the highest such 2.
     """
-    best = 0
-    prefix: list[int] = []
+    popped = 0
+    stack: list[int] = []
     for v in seq:
-        if v < best:
+        if v < popped:
             return True
-        i = bisect_left(prefix, v)
-        if i and prefix[i - 1] > best:
-            best = prefix[i - 1]
-        prefix.insert(i, v)
+        while stack and stack[-1] < v:
+            popped = stack.pop()
+        stack.append(v)
     return False
 
 
@@ -127,22 +77,21 @@ def widest_gap_hull(seq: list[int], ordered: list[int]) -> tuple[int, int] | Non
     exactly when that count is larger at a.  The highest such a is the
     highest value whose count is above the smallest count after it, and the
     lowest such b the lowest value whose count is below the largest count
-    before it.
+    before it.  None when ``seq`` has no such pair.
     """
-    rank = {x: r for r, x in enumerate(ordered)}
-    outside = [x - rank[x] for x in seq]
-    lo = hi = None
+    outside = [x - bisect_left(ordered, x) for x in seq]
+    lo, hi = math.inf, 0
     suffix_min = math.inf
     for x, count in zip(reversed(seq), reversed(outside)):
-        if count > suffix_min and (hi is None or x > hi):
+        if count > suffix_min and x > hi:
             hi = x
         suffix_min = min(suffix_min, count)
     prefix_max = -1
     for x, count in zip(seq, outside):
-        if count < prefix_max and (lo is None or x < lo):
+        if count < prefix_max and x < lo:
             lo = x
         prefix_max = max(prefix_max, count)
-    return None if lo is None else (lo, hi)
+    return (lo, hi) if hi else None
 
 
 class Detector231(Detector):
@@ -158,11 +107,21 @@ class Detector231(Detector):
         super().__init__(classify_pattern((2, 3, 1)), n, mode)
         self.strip_size = max(1, math.isqrt(n))
         self._buffer: list[int] = []
-        self._records: list[StripRecord] = []
-        # cells of all records, counting a low_after once a value below the
+        # part (3), one entry per closed strip with a gap pair: its endpoints,
+        # and the values strictly between them seen in or after the strip
+        self._gap_lo: list[int] = []
+        self._gap_hi: list[int] = []
+        self._seen: list[int] = []
+        # part (4), one entry per closed strip: its maximum, the lowest value
+        # below it seen after it (the maximum while there is none), and how
+        # many values below it were seen after it
+        self._high: list[int] = []
+        self._low_after: list[int] = []
+        self._seen_below: list[int] = []
+        # cells of all entries, counting a low_after once a value below the
         # strip maximum has been pushed even before the next fold records it
         self._record_cells = 0
-        # maxima (sorted) of the records still waiting for that value
+        # maxima (sorted) of the part (4) entries still waiting for that value
         self._waiting_highs: list[int] = []
         # highest ascent starter over closed strips; 0 means none yet, and
         # no value is below it.
@@ -196,7 +155,7 @@ class Detector231(Detector):
                 peak_buffer = len(buf)
         # closed strips are only ever added, and never on an accept
         self.peak_cells = peak_cells
-        self.structure_peaks = {"buffer": peak_buffer, "strips": len(self._records)}
+        self.structure_peaks = {"buffer": peak_buffer, "strips": len(self._high)}
         self._record_cells, self.pushes = record_cells, pos
         return accepted and self._accept()
 
@@ -205,17 +164,29 @@ class Detector231(Detector):
             if self._close_strip():
                 return True
             self.peak_cells = max(self.peak_cells, 1 + self._record_cells)
-            self.structure_peaks = {**self.structure_peaks, "strips": len(self._records)}
-        return any(rec.accepts_at_end() for rec in self._records)
+            self.structure_peaks = {**self.structure_peaks, "strips": len(self._high)}
+        return any(
+            seen < hi - lo - 1 for seen, lo, hi in zip(self._seen, self._gap_lo, self._gap_hi)
+        ) or any(
+            seen < high - low
+            for seen, high, low in zip(self._seen_below, self._high, self._low_after)
+        )
 
     def _close_strip(self) -> bool:
         """Summarize the buffered strip.  True when the strip itself has 231."""
         buf = self._buffer
-        ordered = sorted(buf)
-        for rec in self._records:
-            rec.fold(ordered)
         if contains_231(buf):
             return True
+        ordered = sorted(buf)
+        first = ordered[0]
+        self._seen = [
+            seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)
+            for seen, lo, hi in zip(self._seen, self._gap_lo, self._gap_hi)
+        ]
+        self._low_after = [low if low < first else first for low in self._low_after]
+        self._seen_below = [
+            seen + bisect_left(ordered, high) for seen, high in zip(self._seen_below, self._high)
+        ]
 
         # part (2): the highest value starting an ascent within the strip.
         running_max = highest_starter = 0
@@ -229,25 +200,23 @@ class Detector231(Detector):
 
         # part (3): widest decreasing pair with an outside value in the gap.
         hull = widest_gap_hull(buf, ordered)
-        gap_lo, gap_hi = hull if hull is not None else (None, None)
-        seen = bisect_left(ordered, gap_hi) - bisect_right(ordered, gap_lo) if hull else 0
+        if hull:
+            lo, hi = hull
+            self._gap_lo.append(lo)
+            self._gap_hi.append(hi)
+            self._seen.append(bisect_left(ordered, hi) - bisect_right(ordered, lo))
+            self._record_cells += 3
 
         # part (4): the strip maximum and the lowest value after it.
         high = ordered[-1]
         after = buf[buf.index(high) + 1 :]
-        low_after = min(after) if after else None
-
-        record = StripRecord(
-            gap_lo=gap_lo,
-            gap_hi=gap_hi,
-            seen=seen,
-            high=high,
-            low_after=low_after,
-            seen_below=len(after),
-        )
-        self._records.append(record)
-        self._record_cells += record.cells()
-        if low_after is None:
+        self._high.append(high)
+        self._low_after.append(min(after, default=high))
+        self._seen_below.append(len(after))
+        if after:
+            self._record_cells += 3
+        else:
+            self._record_cells += 2
             insort(self._waiting_highs, high)
         buf.clear()
         return False
@@ -261,8 +230,8 @@ class Detector231(Detector):
 
         Every value lies below the values still to come or above all of
         them, so the stream avoids 231.  Each strip starts with its maximum,
-        and so closes with the widest gap record and a ``low_after``: every
-        record holds all of its cells.
+        and so closes with a gap pair and a lower value after its maximum:
+        every closed strip holds all of its cells.
         """
         out: list[int] = []
         lo, hi = 1, self.n

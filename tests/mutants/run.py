@@ -132,35 +132,55 @@ MUTANTS = (
     Mutant(
         "strips231-fold-never-lowers-low-after",
         "permstream/streaming/strips231.py",
-        "            if self.low_after is None or ordered[0] < self.low_after:\n",
-        "            if self.low_after is None:\n",
+        "        self._low_after = [low if low < first else first for low in self._low_after]\n",
+        "",
         ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # the verdicts stay right (a lower value later in the strip makes a
+        # decreasing pair that part (3) covers), and strips of 2 cannot tell:
+        # only the column of a longer strip shows it
+        "strips231-low-after-starts-at-the-first-later-value",
+        "permstream/streaming/strips231.py",
+        "        self._low_after.append(min(after, default=high))\n",
+        "        self._low_after.append(after[0] if after else high)\n",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[decreasing]",),
     ),
     Mutant(
         "strips231-end-check-without-part-4",
         "permstream/streaming/strips231.py",
-        "        return (\n"
-        "            self.low_after is not None\n"
-        "            and self.seen_below < self.high - self.low_after\n"
+        "        ) or any(\n"
+        "            seen < high - low\n"
+        "            for seen, high, low in zip(self._seen_below, self._high, self._low_after)\n"
         "        )\n",
-        "        return False\n",
+        "        )\n",
         ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
     ),
     Mutant(
         # only the late near miss at n = 400 needs part (3) to see its 231
         "strips231-end-check-without-part-3",
         "permstream/streaming/strips231.py",
-        "        if self.gap_lo is not None and self.seen < self.gap_hi - self.gap_lo - 1:\n"
-        "            return True\n",
-        "",
+        "        return any(\n"
+        "            seen < hi - lo - 1 for seen, lo, hi in zip(self._seen, self._gap_lo, self._gap_hi)\n"
+        "        ) or any(\n",
+        "        return any(\n",
         ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[late_miss]",),
     ),
     Mutant(
         "strips231-fold-skips-the-gap-count",
         "permstream/streaming/strips231.py",
-        "            self.seen += bisect_left(ordered, self.gap_hi) - bisect_right(ordered, self.gap_lo)\n",
-        "            pass\n",
+        "            seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)\n",
+        "            seen\n",
         ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # the verdicts stay right (the pair (inf, 0) counts nothing and never
+        # fires): only the columns and the metered cells show the extra entry
+        "strips231-gap-entry-for-a-strip-without-one",
+        "permstream/streaming/strips231.py",
+        "    return (lo, hi) if hi else None\n",
+        "    return (lo, hi)\n",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_on_small_permutations",),
     ),
     Mutant(
         # the oracle tests pass with it: only the metered cells drop
@@ -174,18 +194,28 @@ MUTANTS = (
         "strips231-end-check-telemetry-unwritten",
         "permstream/streaming/strips231.py",
         "            self.peak_cells = max(self.peak_cells, 1 + self._record_cells)\n"
-        "            self.structure_peaks = {**self.structure_peaks, \"strips\": len(self._records)}\n",
+        "            self.structure_peaks = {**self.structure_peaks, \"strips\": len(self._high)}\n",
         "",
         ("tests/test_detector231.py::test_records_match_whole_stream_counts_on_small_permutations",),
     ),
     Mutant(
-        # the verdicts stay right (the records still see each 231 at finish):
+        # the verdicts stay right (the counters still see each 231 at finish):
         # only the accept position moves
-        "strips231-scan-never-updates-best",
+        "strips231-stack-pass-never-records-the-popped-value",
         "permstream/streaming/strips231.py",
-        "            best = prefix[i - 1]\n",
-        "            pass\n",
+        "            popped = stack.pop()\n",
+        "            stack.pop()\n",
         ("tests/test_detector231.py::test_matches_oracle_on_every_avoider_and_a_swap_of_each[9]",),
+    ),
+    Mutant(
+        # a value pops only the top of the stack and misses a higher 2 under
+        # it, as in 3 1 4 2: a strip of 3 values cannot tell, so the scan's
+        # own test must
+        "strips231-stack-pass-pops-one-value",
+        "permstream/streaming/strips231.py",
+        "        while stack and stack[-1] < v:\n",
+        "        if stack and stack[-1] < v:\n",
+        ("tests/test_detector231.py::test_contains_231_scan",),
     ),
     Mutant(
         "baseline-structure-peaks-unwritten",

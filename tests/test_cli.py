@@ -418,6 +418,15 @@ MISSING = "/no/such/dir/stream.txt"
      f"cannot read {MISSING}: [Errno 2] No such file or directory: '{MISSING}'"),
     (["detect", "--pattern", "12", "--values", "1,x", "--n", "2"],
      "bad --values: invalid literal for int() with base 10: 'x'"),
+    # a value is ASCII digits with an optional leading "-": int() alone takes more
+    (["detect", "--pattern", "21", "--values", "1,2_0", "--n", "20", "--mode", "seq"],
+     "bad --values: invalid literal for int() with base 10: '2_0'"),
+    (["detect", "--pattern", "21", "--values", "+1,2", "--n", "20", "--mode", "seq"],
+     "bad --values: invalid literal for int() with base 10: '+1'"),
+    (["detect", "--pattern", "21", "--values", "1,\uff13", "--n", "20", "--mode", "seq"],
+     "bad --values: invalid literal for int() with base 10: '\uff13'"),
+    (["detect", "--pattern", "21", "--values", "1,-4", "--n", "20", "--mode", "seq"],
+     "invalid stream: value -4 out of range [1, 20] at position 2"),
     (["detect", "--pattern", "3a1", "--values", "1,2", "--n", "2"],
      "cannot parse pattern '3a1': use digits ('312') or commas ('3,1,2')"),
     (["detect", "--pattern", "1,x", "--values", "1,2", "--n", "2"],
@@ -446,6 +455,14 @@ MISSING = "/no/such/dir/stream.txt"
     (lambda: new_detector(parse_pattern("312"), 0), "universe size must be at least 1, got n=0"),
     (lambda: MonotoneDetector(0, 5), "pattern length must be at least 1, got 0"),
     (lambda: Detector312(5, k=0), "window width must be at least 1, got k=0"),
+    (lambda: parse_stream_text("n=20 mode=seq\n1 \uff13\n"),
+     "non-integer stream value: invalid literal for int() with base 10: '\uff13'"),
+    (lambda: parse_stream_text("n=20 mode=seq\n+1\n"),
+     "non-integer stream value: invalid literal for int() with base 10: '+1'"),
+    (lambda: parse_stream_text("n=20 mode=seq\n1 2_0\n"),
+     "non-integer stream value: invalid literal for int() with base 10: '2_0'"),
+    (lambda: parse_stream_text("n=1_0 mode=seq\n1\n"),
+     "malformed universe size in header 'n=1_0 mode=seq'"),
 ])
 def test_each_input_check_gives_its_message(check, message, capsys):
     if callable(check):

@@ -137,25 +137,24 @@ def test_high_starter_accepts_across_strips():
 def test_gap_record_summarizes_widest_pair():
     # Strip (14,11,6,3) in a 16-universe: the pair (6,3) counts because
     # 6-3-1 = 2 exceeds the 0 buffered values between them (so 4 or 5 lives
-    # outside the strip); the record keeps the hull of all such pairs.
+    # outside the strip); the gap entry keeps the hull of all such pairs.
     det = Detector231(16)
     assert det.strip_size == 4
     for v in (14, 11, 6, 3):
         assert not det.push(v)
-    rec = det._records[0]
-    assert (rec.gap_lo, rec.gap_hi) == (3, 14)
-    assert rec.seen == 2  # 6 and 11 sit between the hull endpoints
+    assert (det._gap_lo, det._gap_hi) == ([3], [14])
+    assert det._seen == [2]  # 6 and 11 sit between the hull endpoints
     assert det._high_starter == 0  # no ascent yet
 
 
 def test_end_check_fires_when_gap_value_appeared_earlier():
     # The 231 (3,4,1) spans the strips (5,3) and (4,1): the second strip's
-    # record keeps the pair (4,1), and the 3 between them came earlier, so
+    # gap entry keeps the pair (4,1), and the 3 between them came earlier, so
     # only the end-of-stream counters can see it.
     inst = perm_instance((5, 3, 4, 1, 2))
     det = Detector231(5)
     assert not any(det.push(v) for v in inst.elements)
-    assert (det._records[1].gap_lo, det._records[1].gap_hi) == (1, 4)
+    assert (det._gap_lo, det._gap_hi) == ([3, 1], [5, 4])
     assert det.finish().verdict is True
     assert contains_bruteforce(inst, P231) is not None
 
@@ -358,11 +357,16 @@ def check_against_reference(values):
     assert rep.peak_cells == peak_cells, values
     assert rep.structure_peaks == peaks, values
     if accept is None:
-        fields = ("gap_lo", "gap_hi", "seen", "high", "low_after", "seen_below")
-        got = [{f: getattr(rec, f) for f in fields} for rec in det._records]
-        want = [{f: rec[f] for f in fields} for rec in records[: len(got)]]
-        assert got == want, values
-        assert len(got) >= len(records) - 1
+        closed = records[: len(det._high)]
+        assert len(closed) >= len(records) - 1
+        # part (3): an entry for each closed strip with a gap pair, in order
+        gaps = [(rec["gap_lo"], rec["gap_hi"], rec["seen"]) for rec in closed if rec["gap_lo"]]
+        assert list(zip(det._gap_lo, det._gap_hi, det._seen)) == gaps, values
+        # part (4): one entry per closed strip, low_after the maximum until one arrives
+        highs = [
+            (rec["high"], rec["low_after"] or rec["high"], rec["seen_below"]) for rec in closed
+        ]
+        assert list(zip(det._high, det._low_after, det._seen_below)) == highs, values
     return rep
 
 

@@ -2,8 +2,10 @@
 single pass `permstream detect` makes over them.
 
 The references are the whole-text parser and the set-based validator that
-the streamed ones replaced, kept here verbatim; the streamed versions must
-agree with them on every input and at every chunk size.  The CLI tests
+the streamed ones replaced, kept here verbatim apart from the parser's token
+grammar (ASCII digits with an optional leading "-", where it used int());
+the streamed versions must agree with them on every input and at every
+chunk size.  The CLI tests
 compare `detect` with `parse_stream_text` + `run_detector` on the same text.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 import warnings
@@ -42,6 +45,12 @@ LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "
 # -- references ---------------------------------------------------------------
 
 
+def reference_int(token: str) -> int:
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def reference_parse(text: str) -> StreamInstance:
     header = None
     tokens: list[str] = []
@@ -59,12 +68,12 @@ def reference_parse(text: str) -> StreamInstance:
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("mode="):
         raise ValueError(f"malformed header {header!r} (expected 'n=<int> mode=<perm|seq>')")
     try:
-        n = int(parts[0][2:])
+        n = reference_int(parts[0][2:])
     except ValueError:
         raise ValueError(f"malformed universe size in header {header!r}") from None
     mode = StreamMode.from_token(parts[1][5:])
     try:
-        elements = tuple(int(tok) for tok in tokens)
+        elements = tuple(reference_int(tok) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"non-integer stream value: {exc}") from None
     return StreamInstance(n=n, mode=mode, elements=elements)
@@ -120,8 +129,9 @@ def expected_error(text: str) -> str:
 # -- the tokenizer --------------------------------------------------------------
 
 
-PIECES = ("1", "2", "3", "17", "-4", "+5", "0", "1_0", "x", "#", "#7", "n=3", "mode=perm",
-          "n=5 mode=seq", "n=4 mode=perm", "n=x mode=perm", "n=3 mode=foo")
+PIECES = ("1", "2", "3", "17", "-4", "+5", "0", "1_0", "\uff13", "x", "#", "#7", "#\u00e9+_",
+          "n=3", "mode=perm", "n=5 mode=seq", "n=4 mode=perm", "n=x mode=perm", "n=+4 mode=perm",
+          "n=3 mode=foo")
 SEPARATORS = LINE_BREAKS + (" ", " ", "\t", "\x1f", "\xa0")
 
 
@@ -154,6 +164,15 @@ def test_tokenizer_matches_the_reference_after_the_header(monkeypatch):
         monkeypatch.setattr(core, "READ_CHARS", rng.randint(1, 8))
         assert outcome(chunked_parse, text) == want, repr(text)
         monkeypatch.undo()
+
+def test_unicode_line_breaks_and_a_non_ascii_comment_parse(monkeypatch):
+    # the text is not ASCII, so each value word is checked on its own
+    text = "# caf\u00e9 +1 1_0 \uff13\u2028n=5 mode=perm\u20283 1\x85# na\u00efve\u20282 5 4\u2028"
+    for chunk_chars in (1, 2, 3, 7, READ_CHARS):
+        monkeypatch.setattr(core, "READ_CHARS", chunk_chars)
+        inst = chunked_parse(text)
+        assert (inst.n, inst.elements) == (5, (3, 1, 2, 5, 4))
+
 
 @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
 def test_comment_starts_after_every_splitlines_boundary(monkeypatch, brk):
