@@ -211,10 +211,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_option(text: str) -> int:
+    """The type of every int option: :func:`parse_int`, in argparse's own words."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_stream_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="stream file ('-' for stdin)")
     p.add_argument("--values", help="inline stream, comma-separated")
-    p.add_argument("--n", type=int, help="universe size for --values")
+    p.add_argument("--n", type=_int_option, help="universe size for --values")
     p.add_argument(
         "--mode", choices=["perm", "seq"], default="perm", help="stream mode for --values"
     )
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="also count all occurrences")
     p.add_argument(
         "--split",
-        type=int,
+        type=_int_option,
         help="run the one-bit split protocol with Alice holding this many leading values",
     )
     p.add_argument("--json", action="store_true")
@@ -256,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="seq312 | front4:<4231|4213|4132|4123> | 4312 | 3142 | 2143 | monotone-lb | extend",
     )
-    p.add_argument("--nsets", type=int, help="disjointness universe size")
+    p.add_argument("--nsets", type=_int_option, help="disjointness universe size")
     p.add_argument("--s", help="Alice's set, comma-separated")
     p.add_argument("--t", help="Bob's set, comma-separated")
     p.add_argument("--random-sets", action="store_true", help="draw S and T from --seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, help="monotone-lb: pattern length")
-    p.add_argument("--n", type=int, help="monotone-lb: universe size (even)")
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--k", type=_int_option, help="monotone-lb: pattern length")
+    p.add_argument("--n", type=_int_option, help="monotone-lb: universe size (even)")
     p.add_argument("--rho", help="monotone-lb: odd increasing code, comma-separated")
     p.add_argument("--sigma", help="monotone-lb: second code (emits a stream pair)")
     p.add_argument("--input", help="extend: stream file to transform")
@@ -271,26 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized / exhaustive detector-vs-oracle testing")
     p.add_argument("--pattern", help="fuzz random permutations against this pattern")
-    p.add_argument("--n", type=int, help="permutation size for --pattern fuzzing")
+    p.add_argument("--n", type=_int_option, help="permutation size for --pattern fuzzing")
     p.add_argument("--construction", help="fuzz a hard-instance construction instead")
-    p.add_argument("--nsets", type=int)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nsets", type=_int_option)
+    p.add_argument("--trials", type=_int_option, default=100)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument(
         "--exhaustive",
         action="store_true",
         help=f"enumerate everything: all n! permutations (n <= {_EXHAUSTIVE_PERM_CAP}) "
         f"or all 4^nsets subset pairs (nsets <= {_EXHAUSTIVE_SETS_CAP})",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--jobs", type=_int_option, default=1, help="worker processes (default: 1)")
     p.add_argument("--replay-dir", help="directory for counterexample replay files")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bench", help="peak-space measurements on random and adversarial inputs")
     p.add_argument("--pattern", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated universe sizes")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_option, default=20)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import enum
 import io
+import re
+from json import loads as _json_loads
 from typing import Iterable, Iterator, Sequence, TextIO
 
 
@@ -429,6 +431,8 @@ def format_stream_text(
 READ_CHARS = 1 << 16
 #: the line boundaries of :meth:`str.splitlines`
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: the text of a chunk that :func:`iter_stream_text` hands to the JSON scanner
+_canonical_values = re.compile("[0-9 \n-]*").fullmatch
 
 
 def parse_int(token: str) -> int:
@@ -476,6 +480,18 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     and on any other value, once the tokenizer reaches it.  Nothing is
     validated: see :class:`StreamValidator`.
 
+    Once the header is read, a chunk whose text holds only ASCII digits,
+    ``-``, ``" "`` and ``"\\n"`` (the canonical text that
+    :func:`format_stream_text` writes) is parsed in one call to the C JSON
+    scanner: its words joined by ``,`` inside ``[...]``.  That is exact.  With
+    no ``.``, ``e``, letter, quote, bracket or comma in the text, the only
+    JSON the array can hold is ints, and a parse that succeeds has read every
+    word as ``-?(0|[1-9][0-9]*)`` with exactly one blank between two words:
+    the list ``int()`` gives on :meth:`str.split`'s words.  Any other text,
+    and a canonical one whose JSON parse raises ValueError (``007``, a lone
+    ``-``, two blanks in a row, more digits than ``int()`` takes), goes
+    word by word as above, and its error is ``int()``'s.
+
     >>> chunks = iter_stream_text(io.StringIO("# demo\\nn=3 mode=perm\\n3 1\\n2\\n"))
     >>> next(chunks)
     (3, <StreamMode.PERMUTATION: 'perm'>)
@@ -502,7 +518,15 @@ def iter_stream_text(fh: TextIO) -> Iterator:
         text = "".join(pending)
         pending = [chunk[cut:]]
         hashed = "#" in pending[0]
-        if header is not None and "#" not in text:
+        values = None
+        if header is not None and _canonical_values(text):
+            try:  # one C pass for the whole chunk: exact, see above
+                values = _json_loads("[" + text.strip().replace("\n", " ").replace(" ", ",") + "]")
+            except ValueError:
+                pass  # the words are read one by one below, with int()'s error
+        if values is not None:
+            words = ()
+        elif header is not None and "#" not in text:
             words = text.split()
         else:
             words = []
@@ -525,13 +549,14 @@ def iter_stream_text(fh: TextIO) -> Iterator:
             end -= 1
         if end:
             mid_line = text[end - 1] not in _LINE_BREAKS
-        # int() alone would take "_" groups, a "+" and non-ASCII digits: when
-        # the whole text has none, its words need no check of their own
-        strict = text.isascii() and "_" not in text and "+" not in text
-        try:
-            values = list(map(int if strict else parse_int, words))
-        except ValueError as exc:
-            raise ValueError(f"non-integer stream value: {exc}") from None
+        if values is None:
+            # int() alone would take "_" groups, a "+" and non-ASCII digits: when
+            # the whole text has none, its words need no check of their own
+            strict = text.isascii() and "_" not in text and "+" not in text
+            try:
+                values = list(map(int if strict else parse_int, words))
+            except ValueError as exc:
+                raise ValueError(f"non-integer stream value: {exc}") from None
         del text, words  # while the consumer runs, only the values stay alive
         if values:
             yield values

@@ -254,6 +254,41 @@ MUTANTS = (
         ("tests/test_baseline.py::test_pruning_work_is_pinned_on_a_front4_instance",),
     ),
     Mutant(
+        # floats get through: "1.5" is read as a value
+        "canonical-chunk-admits-a-dot",
+        "permstream/core.py",
+        '_canonical_values = re.compile("[0-9 \\n-]*").fullmatch\n',
+        '_canonical_values = re.compile("[0-9 \\n.-]*").fullmatch\n',
+        ("tests/test_stream_input.py::test_canonical_chunks_match_the_reference_at_every_chunk_size",),
+    ),
+    Mutant(
+        # "1,2" is read as two values
+        "canonical-chunk-admits-a-comma",
+        "permstream/core.py",
+        '_canonical_values = re.compile("[0-9 \\n-]*").fullmatch\n',
+        '_canonical_values = re.compile("[0-9 \\n,-]*").fullmatch\n',
+        ("tests/test_stream_input.py::test_canonical_chunks_match_the_reference_at_every_chunk_size",),
+    ),
+    Mutant(
+        # "007" and "  " are refused where int() reads them
+        "json-parse-error-is-the-stream-error",
+        "permstream/core.py",
+        "            except ValueError:\n"
+        "                pass  # the words are read one by one below, with int()'s error\n",
+        "            except ValueError as exc:\n"
+        "                raise ValueError(f\"non-integer stream value: {exc}\") from None\n",
+        ("tests/test_stream_input.py::test_canonical_chunks_match_the_reference_at_every_chunk_size",),
+    ),
+    Mutant(
+        # every chunk goes word by word: the values stay right, the fast path is dead
+        "json-parse-never-taken",
+        "permstream/core.py",
+        "        if header is not None and _canonical_values(text):\n",
+        "        if header is not None and _canonical_values(text) and False:\n",
+        ("tests/test_stream_input.py::"
+         "test_every_chunk_after_the_header_of_a_formatted_stream_takes_the_json_parse",),
+    ),
+    Mutant(
         "adapter-telemetry-uncopied",
         "permstream/streaming/adapter.py",
         "        self.peak_cells, self.structure_peaks = inner.peak_cells, inner.structure_peaks\n",

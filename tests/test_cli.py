@@ -427,6 +427,17 @@ MISSING = "/no/such/dir/stream.txt"
      "bad --values: invalid literal for int() with base 10: '\uff13'"),
     (["detect", "--pattern", "21", "--values", "1,-4", "--n", "20", "--mode", "seq"],
      "invalid stream: value -4 out of range [1, 20] at position 2"),
+    # the int options take the same grammar, in argparse's words for a bad int
+    (["detect", "--pattern", "21", "--values", "1,2", "--n", "x", "--mode", "seq"],
+     "argument --n: invalid int value: 'x'"),
+    (["detect", "--pattern", "21", "--values", "1,2", "--n", "2_0", "--mode", "seq"],
+     "argument --n: invalid int value: '2_0'"),
+    (["detect", "--pattern", "21", "--values", "1,2", "--n", "+5", "--mode", "seq"],
+     "argument --n: invalid int value: '+5'"),
+    (["detect", "--pattern", "21", "--values", "1,2", "--n", "\uff12", "--mode", "seq"],
+     "argument --n: invalid int value: '\uff12'"),
+    (["fuzz", "--pattern", "21", "--n", "3", "--trials", "1_0"],
+     "argument --trials: invalid int value: '1_0'"),
     (["detect", "--pattern", "3a1", "--values", "1,2", "--n", "2"],
      "cannot parse pattern '3a1': use digits ('312') or commas ('3,1,2')"),
     (["detect", "--pattern", "1,x", "--values", "1,2", "--n", "2"],
@@ -469,6 +480,13 @@ def test_each_input_check_gives_its_message(check, message, capsys):
         with pytest.raises(ValueError) as exc:
             check()
         assert str(exc.value) == message
+    elif message.startswith("argument "):  # argparse's check: the usage, then its error line
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*check)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: permstream ")
+        assert err.endswith(f"\npermstream {check[0]}: error: {message}\n")
     else:
         assert run_cli(*check) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

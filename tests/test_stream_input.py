@@ -165,6 +165,68 @@ def test_tokenizer_matches_the_reference_after_the_header(monkeypatch):
         assert outcome(chunked_parse, text) == want, repr(text)
         monkeypatch.undo()
 
+
+#: words that JSON reads otherwise than int(), or not at all; the last is past
+#: int()'s digit limit
+JSON_WORDS = ("007", "00", "-0", "1.5", "1e3", "true", "null", "[1]", "1,2", "-", "--1", "1-2",
+              "12345678901234567890", "9" * 4301)
+
+
+def spy_on_the_json_parse(monkeypatch) -> list:
+    """Wrap the loader ``core`` parses canonical chunks with; it records each outcome."""
+    load, calls = core._json_loads, []
+
+    def spy(text):
+        try:
+            values = load(text)
+        except ValueError:
+            calls.append(None)
+            raise
+        calls.append(values)
+        return values
+
+    monkeypatch.setattr(core, "_json_loads", spy)
+    return calls
+
+
+def test_canonical_chunks_match_the_reference_at_every_chunk_size(monkeypatch):
+    # single blanks and "\n" send most chunks to the one-call JSON parse; a
+    # word JSON reads otherwise, "  ", "\r\n" or "\t" must give int()'s outcome
+    rng = random.Random(17)
+    plain = ("1", "2", "3", "17", "40", "0", "-4", "123456")
+    parsed = failed = 0
+    for _ in range(2000):
+        size = rng.randint(0, 24)
+        words = [rng.choice(JSON_WORDS if rng.random() < 0.03 else plain) for _ in range(size)]
+        blanks = [rng.choice(("  ", "\r\n", "\t") if rng.random() < 0.04 else (" ", "\n"))
+                  for _ in range(size)]
+        text = "n=50 mode=seq\n" + "".join(map(str.__add__, words, blanks))
+        want = outcome(reference_parse, text)
+        calls = spy_on_the_json_parse(monkeypatch)
+        monkeypatch.setattr(core, "READ_CHARS",
+                            rng.choice((rng.randint(1, 8), rng.randint(9, 64), READ_CHARS)))
+        assert outcome(chunked_parse, text) == want, repr(text)
+        monkeypatch.undo()
+        parsed += sum(values is not None for values in calls)
+        failed += calls.count(None)
+    assert parsed > 1000 and failed > 100  # both sides of the fast path were reached
+
+
+def test_every_chunk_after_the_header_of_a_formatted_stream_takes_the_json_parse(monkeypatch):
+    monkeypatch.setattr(core, "READ_CHARS", 256)
+    values = random_perm(3000, random.Random(5))
+    text = format_stream_text(StreamInstance(3000, StreamMode.PERMUTATION, values),
+                              segments=[("alice", 1, 1500)], comments=["demo"])
+    calls = spy_on_the_json_parse(monkeypatch)
+    chunks = list(iter_stream_text(io.StringIO(text)))
+    assert [v for part in chunks[1:] for v in part] == list(values)
+    assert len(chunks) > 50 and None not in calls
+    # the chunk that holds the header is read line by line; every later one is the loader's
+    after_header = [part for part in calls if part]
+    assert len(after_header) == len(chunks) - 2
+    assert all(a is b for a, b in zip(after_header, chunks[2:]))
+
+
 def test_unicode_line_breaks_and_a_non_ascii_comment_parse(monkeypatch):
     # the text is not ASCII, so each value word is checked on its own
     text = "# caf\u00e9 +1 1_0 \uff13\u2028n=5 mode=perm\u20283 1\x85# na\u00efve\u20282 5 4\u2028"
