@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import io
-import re
 from json import loads as _json_loads
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -431,15 +430,22 @@ def format_stream_text(
 READ_CHARS = 1 << 16
 #: the line boundaries of :meth:`str.splitlines`
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-#: the text of a chunk that :func:`iter_stream_text` hands to the JSON scanner
-_canonical_values = re.compile("[0-9 \n-]*").fullmatch
+
+
+def _canonical(text: str) -> bool:
+    """Whether :func:`iter_stream_text` hands ``text`` to the JSON scanner.
+
+    True when ``text`` holds only ASCII digits, ``-``, ``" "`` and ``"\\n"``.
+    """
+    return text.isascii() and not text.encode().translate(None, b"0123456789 \n-")
 
 
 def parse_int(token: str) -> int:
     """The integer of ``token``: ASCII digits with an optional leading ``-``.
 
-    Unlike ``int(token)``, rejects ``_`` digit groups, a ``+`` sign and
-    non-ASCII digits, with the ValueError ``int()`` gives for a bad literal.
+    Unlike ``int(token)``, rejects ``_`` digit groups, a ``+`` sign,
+    non-ASCII digits and blanks around the digits, with the ValueError
+    ``int()`` gives for a bad literal.
 
     >>> parse_int("-4"), parse_int("007")
     (-4, 7)
@@ -447,8 +453,13 @@ def parse_int(token: str) -> int:
     Traceback (most recent call last):
     ...
     ValueError: invalid literal for int() with base 10: '1_0'
+    >>> parse_int(" 2")
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid literal for int() with base 10: ' 2'
     """
-    if token.isascii() and "_" not in token and "+" not in token:
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
         return int(token)
     raise ValueError(f"invalid literal for int() with base 10: {token!r}")
 
@@ -519,7 +530,7 @@ def iter_stream_text(fh: TextIO) -> Iterator:
         pending = [chunk[cut:]]
         hashed = "#" in pending[0]
         values = None
-        if header is not None and _canonical_values(text):
+        if header is not None and _canonical(text):
             try:  # one C pass for the whole chunk: exact, see above
                 values = _json_loads("[" + text.strip().replace("\n", " ").replace(" ", ",") + "]")
             except ValueError:

@@ -4,14 +4,19 @@ Everything here favours obvious correctness over speed.  The detectors in
 :mod:`permstream.streaming` are validated against these functions, so the two
 share no code: no detector module imports this one and this one imports no
 detector module (``tests/test_baseline.py`` checks both).  Containment and
-counting are one exhaustive search, still ``O(m^k)`` in the worst case, so
-desk-scale inputs (n up to a few hundred for containment, smaller for exact
-counting) are the intended range.
+counting are one exhaustive search over the pattern slots.  It skips a slot
+that no later value can fill, which the stream's suffix minima and maxima
+decide in one step, and builds those two lists only once its scans have
+covered m positions, so a search that finds an occurrence early never pays
+the ``O(m)`` build (see :func:`_occurrences`).  That makes the last slot of a
+pattern such as 231 cheap on a stream that avoids it, but the worst case is
+still ``O(m^k)``, so desk-scale inputs (n up to a few hundred for
+containment, smaller for exact counting) are the intended range.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .core import (
@@ -32,10 +37,27 @@ def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, 
     right and tries each slot's positions in increasing order, so the tuples
     come out in lexicographic order.  The values chosen for slots 0..d-1 are
     order-isomorphic to the pattern's first d values, so the values slot d may
-    take form one open interval (lo, hi), fixed when the search enters the
-    slot: lo is the largest chosen value the pattern puts below slot d (0 if
-    none), hi the smallest chosen value it puts above (n + 1 if none).  Each
-    candidate then costs one chained comparison.
+    take form one open interval (lo, hi), fixed once slot d - 1 is chosen: lo
+    is the largest chosen value the pattern puts below slot d (0 if none), hi
+    the smallest chosen value it puts above (n + 1 if none).  Each candidate
+    then costs one chained comparison.
+
+    The search does not enter a slot that no later value can fill.  With
+    ``least[i]`` and ``greatest[i]`` the smallest and largest value at
+    position i or later, no value from the slot's first position ``start``
+    on lies in (lo, hi) when ``least[start] >= hi`` or
+    ``greatest[start] <= lo``, so the slot's scan would find nothing: the
+    same tuples come out in the same order.  (Slot 0 is always entered; a
+    later slot starts at m - 1 at the latest, since the slots after it need
+    room, so the lists need no entry past the end.)  When lo = 0 or
+    hi = n + 1, as at the last slot of 123, 321, 231, 213 and 4231, the test
+    decides that slot exactly; a slot bounded on both sides is skipped only
+    when every later value lies on one side of it.  The two lists cost O(m)
+    to build, so they are built only once the slot scans that ran to their
+    end have covered more than m positions.  A scan left through a
+    ``yield`` is not counted, so a search that stops at an early occurrence
+    never builds them, and one that builds them has already scanned more
+    than the build reads.  The worst case stays O(m^k).
     """
     values, pat = inst.elements, pattern.values
     k, m = len(pat), len(values)
@@ -51,21 +73,33 @@ def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, 
         low.append(max(below, key=pat.__getitem__, default=k))
         high.append(min(above, key=pat.__getitem__, default=k + 1))
     index = [0] * k
+    # the suffix minima and maxima of the docstring, empty until built
+    least: list[int] = []
+    greatest: list[int] = []
+    scanned = 0  # positions covered by the slot scans that ran to their end
 
-    def search(depth: int, start: int) -> Iterator[tuple[int, ...]]:
-        lo, hi = chosen[low[depth]], chosen[high[depth]]
+    def search(depth: int, start: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        nonlocal least, greatest, scanned
         # m - k + depth is the last index leaving room to finish.
-        for idx in range(start, m - k + depth + 1):
+        stop = m - k + depth + 1
+        for idx in range(start, stop):
             v = values[idx]
             if lo < v < hi:
                 index[depth] = idx
                 if depth == k - 1:
                     yield tuple(index)
-                else:
-                    chosen[depth] = v
-                    yield from search(depth + 1, idx + 1)
+                    continue
+                chosen[depth] = v
+                next_lo, next_hi = chosen[low[depth + 1]], chosen[high[depth + 1]]
+                if least and (least[idx + 1] >= next_hi or greatest[idx + 1] <= next_lo):
+                    continue  # no value past idx can fill the next slot
+                yield from search(depth + 1, idx + 1, next_lo, next_hi)
+        scanned += stop - start
+        if scanned > m and not least:
+            least = list(accumulate(reversed(values), min))[::-1]
+            greatest = list(accumulate(reversed(values), max))[::-1]
 
-    return search(0, 0)
+    return search(0, 0, 0, inst.n + 1)
 
 
 def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | None:

@@ -39,6 +39,7 @@ from .core import (
     StreamMode,
     collect_stream,
     format_stream_text,
+    parse_int,
     parse_pattern,
     stream_violation,
 )
@@ -129,11 +130,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _parse_ints(text: str | None, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, in the order given."""
+    """The comma-separated integers of ``text`` (:func:`parse_int`), in the order given."""
     if not text:
         return ()
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(map(parse_int, text.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
@@ -482,7 +483,7 @@ def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
 def cmd_bench(args: argparse.Namespace) -> int:
     pattern = _parse_pattern_arg(args.pattern)
     try:
-        sizes = [int(v) for v in args.sizes.split(",")]
+        sizes = [parse_int(v) for v in args.sizes.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes: {exc}") from exc
     if any(n < 1 for n in sizes):

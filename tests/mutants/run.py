@@ -257,16 +257,16 @@ MUTANTS = (
         # floats get through: "1.5" is read as a value
         "canonical-chunk-admits-a-dot",
         "permstream/core.py",
-        '_canonical_values = re.compile("[0-9 \\n-]*").fullmatch\n',
-        '_canonical_values = re.compile("[0-9 \\n.-]*").fullmatch\n',
+        '    return text.isascii() and not text.encode().translate(None, b"0123456789 \\n-")\n',
+        '    return text.isascii() and not text.encode().translate(None, b"0123456789 \\n.-")\n',
         ("tests/test_stream_input.py::test_canonical_chunks_match_the_reference_at_every_chunk_size",),
     ),
     Mutant(
         # "1,2" is read as two values
         "canonical-chunk-admits-a-comma",
         "permstream/core.py",
-        '_canonical_values = re.compile("[0-9 \\n-]*").fullmatch\n',
-        '_canonical_values = re.compile("[0-9 \\n,-]*").fullmatch\n',
+        '    return text.isascii() and not text.encode().translate(None, b"0123456789 \\n-")\n',
+        '    return text.isascii() and not text.encode().translate(None, b"0123456789 \\n,-")\n',
         ("tests/test_stream_input.py::test_canonical_chunks_match_the_reference_at_every_chunk_size",),
     ),
     Mutant(
@@ -283,10 +283,47 @@ MUTANTS = (
         # every chunk goes word by word: the values stay right, the fast path is dead
         "json-parse-never-taken",
         "permstream/core.py",
-        "        if header is not None and _canonical_values(text):\n",
-        "        if header is not None and _canonical_values(text) and False:\n",
+        "        if header is not None and _canonical(text):\n",
+        "        if header is not None and _canonical(text) and False:\n",
         ("tests/test_stream_input.py::"
          "test_every_chunk_after_the_header_of_a_formatted_stream_takes_the_json_parse",),
+    ),
+    Mutant(
+        # every slot is scanned in full: the output stays right, the work is O(m^k)
+        "oracle-lists-never-built",
+        "permstream/oracle.py",
+        "        if scanned > m and not least:\n",
+        "        if scanned < 0 and not least:\n",
+        ("tests/test_oracle.py::test_a_one_sided_last_slot_is_skipped_when_no_later_value_fits",),
+    ),
+    Mutant(
+        # a slot is skipped when some later value lies outside its interval
+        "oracle-skip-reads-the-wrong-extremes",
+        "permstream/oracle.py",
+        "                if least and (least[idx + 1] >= next_hi or greatest[idx + 1] <= next_lo):\n",
+        "                if least and (greatest[idx + 1] >= next_hi or least[idx + 1] <= next_lo):\n",
+        ("tests/test_oracle.py::test_oracle_output_matches_enumeration_on_hard_instances",),
+    ),
+    Mutant(
+        # a slot is skipped when its only later values are hi - 1 and up
+        "oracle-skip-off-by-one-at-the-upper-bound",
+        "permstream/oracle.py",
+        "                if least and (least[idx + 1] >= next_hi or greatest[idx + 1] <= next_lo):\n",
+        "                if least and (least[idx + 1] >= next_hi - 1 or greatest[idx + 1] <= next_lo):\n",
+        ("tests/test_oracle.py::"
+         "test_oracle_output_matches_enumeration_on_monotone_streams_and_one_swaps",),
+    ),
+    Mutant(
+        # a scan is charged when the slot is entered, so one left through a yield counts
+        "oracle-scan-charged-on-entry",
+        "permstream/oracle.py",
+        "        for idx in range(start, stop):\n",
+        "        scanned += stop - start\n"
+        "        if scanned > m and not least:\n"
+        "            least = list(accumulate(reversed(values), min))[::-1]\n"
+        "            greatest = list(accumulate(reversed(values), max))[::-1]\n"
+        "        for idx in range(start, stop):\n",
+        ("tests/test_oracle.py::test_an_early_occurrence_never_builds_the_lists",),
     ),
     Mutant(
         "adapter-telemetry-uncopied",

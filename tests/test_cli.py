@@ -474,6 +474,23 @@ MISSING = "/no/such/dir/stream.txt"
      "non-integer stream value: invalid literal for int() with base 10: '2_0'"),
     (lambda: parse_stream_text("n=1_0 mode=seq\n1\n"),
      "malformed universe size in header 'n=1_0 mode=seq'"),
+    # no blanks around the digits, and the comma-separated lists of gen and
+    # bench take the same grammar as --values
+    (["detect", "--pattern", "21", "--values", "1, 2", "--n", "2"],
+     "bad --values: invalid literal for int() with base 10: ' 2'"),
+    (["detect", "--pattern", "21", "--values", "1,2", "--n", " 2"],
+     "argument --n: invalid int value: ' 2'"),
+    (["gen", "--construction", "4312", "--nsets", "3", "--s", "1", "--t", "+2,3"],
+     "bad --t: invalid literal for int() with base 10: '+2'"),
+    (["gen", "--construction", "4312", "--nsets", "3", "--s", "1", "--t", "2,\uff13"],
+     "bad --t: invalid literal for int() with base 10: '\uff13'"),
+    (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "12", "--rho", "1,5, 7"],
+     "bad --rho: invalid literal for int() with base 10: ' 7'"),
+    (["gen", "--construction", "monotone-lb", "--k", "5", "--n", "12", "--rho", "1,5,7",
+      "--sigma", "1,3_0"],
+     "bad --sigma: invalid literal for int() with base 10: '3_0'"),
+    (["bench", "--pattern", "312", "--sizes", "64, 256"],
+     "bad --sizes: invalid literal for int() with base 10: ' 256'"),
 ])
 def test_each_input_check_gives_its_message(check, message, capsys):
     if callable(check):

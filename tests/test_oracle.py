@@ -1,23 +1,31 @@
 from __future__ import annotations
 
+import importlib
 import random
-from itertools import combinations, permutations
+from functools import partial
+from itertools import accumulate, combinations, permutations
 
 import pytest
 
 from permstream import (
     Occurrence,
     SplitInput,
+    StreamInstance,
+    StreamMode,
     classify_pattern,
     complement,
     contains_bruteforce,
     count_occurrences,
+    gen_3142_2143,
+    gen_4312,
     gen_pi4_front,
     gen_seq312,
     occurrence_is_valid,
     parse_pattern,
+    random_subsets,
     split_protocol,
 )
+from permstream.core import require_valid_stream
 from conftest import (
     all_patterns,
     contains_reference,
@@ -76,8 +84,7 @@ def enumerated_occurrences(values, pattern_values) -> list[tuple[int, ...]]:
     k = len(pattern_values)
     shape = sorted(range(k), key=pattern_values.__getitem__)
     found = []
-    for combo in combinations(range(len(values)), k):
-        picked = [values[i] for i in combo]
+    for combo, picked in zip(combinations(range(len(values)), k), combinations(values, k)):
         if sorted(range(k), key=picked.__getitem__) == shape:
             found.append(tuple(i + 1 for i in combo))
     return found
@@ -112,6 +119,107 @@ def test_oracle_output_matches_enumeration_on_streams_with_gaps():
     for inst in streams:
         for pat in all_patterns(1, 2, 3, 4):
             assert_exact_output(inst, pat)
+
+
+# -- skipping a slot that no later value can fill -------------------------------
+
+ORACLE = importlib.import_module("permstream.oracle")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The oracle's calls to ``accumulate``: two per search that builds its lists."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return accumulate(*args)
+
+    monkeypatch.setattr(ORACLE, "accumulate", spy)
+    return calls
+
+
+HARDGEN = {
+    "seq312": gen_seq312,
+    **{
+        f"front4:{p}": partial(gen_pi4_front, parse_pattern(p))
+        for p in ("4231", "4213", "4132", "4123")
+    },
+    "4312": gen_4312,
+    **{p: partial(gen_3142_2143, parse_pattern(p)) for p in ("3142", "2143")},
+}
+
+
+def test_oracle_output_matches_enumeration_on_hard_instances(builds):
+    # A disjoint and an intersecting instance of each construction, nsets 6-12:
+    # avoiders and single-occurrence streams, where the search scans past m
+    # positions and then skips slots by the suffix extremes.
+    rng = random.Random(19)
+    for i, (name, build) in enumerate(HARDGEN.items()):
+        for nsets, shared in ((6 + i % 7, False), (6 + (i + 3) % 7, True)):
+            s, t = random_subsets(nsets, rng)
+            t -= s
+            if shared:
+                common = rng.randint(1, nsets)
+                s, t = s | {common}, t | {common}
+            disj = build(nsets, s, t)
+            assert disj.intersecting == shared
+            before = len(builds)
+            assert_exact_output(disj.stream, disj.pattern)
+            assert len(builds) > before, (name, nsets, shared)
+
+
+def one_swaps(values: tuple[int, ...], rng: random.Random):
+    """``values``, then copies with two entries swapped: the last two, two
+    neighbours at random and two random positions."""
+    yield values
+    m = len(values)
+    i = rng.randrange(m - 1)
+    for a, b in ((m - 2, m - 1), (i, i + 1), tuple(rng.sample(range(m), 2))):
+        swapped = list(values)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        yield tuple(swapped)
+
+
+def test_oracle_output_matches_enumeration_on_monotone_streams_and_one_swaps(builds):
+    rng = random.Random(20)
+    for n, lengths in ((20, (3, 4)), (31, (3,)), (40, (3,))):
+        for base in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+            for values in one_swaps(base, rng):
+                for pat in all_patterns(*lengths):
+                    assert_exact_output(perm_instance(values), pat)
+    # 637 of these 672 searches (a contains and a count per stream and
+    # pattern) scan past m positions and build the two lists
+    assert len(builds) >= 2 * 600
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the elements read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingTuple.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_a_one_sided_last_slot_is_skipped_when_no_later_value_fits():
+    # 231 on 1..m: the last slot wants a value below the first, and none
+    # follows it.  A full scan of every last slot reads about m^3 / 6 values.
+    m = 200
+    inst = StreamInstance(m, StreamMode.PERMUTATION, CountingTuple(range(1, m + 1)))
+    require_valid_stream(inst)
+    CountingTuple.reads = 0
+    assert contains_bruteforce(inst, parse_pattern("231")) is None
+    assert CountingTuple.reads < m * m
+
+
+def test_an_early_occurrence_never_builds_the_lists(builds):
+    m = 10_000
+    inst = perm_instance(random_perm(m, random.Random(21)))
+    occ = contains_bruteforce(inst, P312)
+    assert occ is not None and occ.positions[-1] < 100  # found within the first values
+    assert builds == []
 
 
 # -- counting -------------------------------------------------------------------
