@@ -54,10 +54,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     "core": (
         "Occurrence",
         "Pattern",
-        "PatternKind",
         "StreamInstance",
         "StreamMode",
-        "classify_pattern",
         "complement",
         "format_stream_text",
         "is_order_isomorphic",

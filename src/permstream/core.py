@@ -85,37 +85,29 @@ class StreamMode(enum.Enum):
         raise ValueError(f"unknown stream mode {token!r} (expected 'perm' or 'seq')")
 
 
-class PatternKind(enum.Enum):
-    """Coarse classification used by the detector dispatch table."""
-
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    NONMONOTONE3 = "nonmonotone3"
-    OTHER = "other"
-
-
 class Pattern(Frozen):
-    """A pattern permutation together with its dispatch classification.
+    """A pattern: a permutation of [1..k], held as its values alone.
 
-    Build instances through :func:`classify_pattern` or :func:`parse_pattern`;
-    the constructor checks that ``values`` really is a permutation of [1..k]
-    and that ``kind`` matches.
+    The constructor takes any sequence of ints and checks that it is a
+    permutation of [1..k]; :func:`parse_pattern` reads the CLI spelling.
+    Which detector serves a pattern is read off its values by
+    :mod:`permstream.streaming.dispatch`.
+
+    >>> Pattern([3, 1, 2])
+    Pattern(values=(3, 1, 2))
     """
 
-    __slots__ = _fields = ("values", "kind")
+    __slots__ = _fields = ("values",)
     values: tuple[int, ...]
-    kind: PatternKind
 
-    def __init__(self, values: tuple[int, ...], kind: PatternKind) -> None:
+    def __init__(self, values: Sequence[int]) -> None:
+        values = tuple(values)
         k = len(values)
         if k == 0:
             raise ValueError("pattern must have at least one value")
         if sorted(values) != list(range(1, k + 1)):
             raise ValueError(f"pattern {values} is not a permutation of 1..{k}")
-        if kind is not _kind_of(values):
-            raise ValueError(f"pattern {values} has kind {_kind_of(values)}, not {kind}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -126,35 +118,13 @@ class Pattern(Frozen):
         return ",".join(str(v) for v in self.values)
 
 
-def _kind_of(values: Sequence[int]) -> PatternKind:
-    k = len(values)
-    if tuple(values) == tuple(range(1, k + 1)):
-        return PatternKind.INCREASING
-    if tuple(values) == tuple(range(k, 0, -1)):
-        return PatternKind.DECREASING
-    if k == 3:
-        return PatternKind.NONMONOTONE3
-    return PatternKind.OTHER
-
-
-def classify_pattern(values: Sequence[int]) -> Pattern:
-    """Validate ``values`` as a pattern and attach its :class:`PatternKind`.
-
-    >>> classify_pattern((1, 2, 3)).kind
-    <PatternKind.INCREASING: 'increasing'>
-    >>> classify_pattern((3, 1, 2)).kind
-    <PatternKind.NONMONOTONE3: 'nonmonotone3'>
-    >>> classify_pattern((4, 2, 3, 1)).kind
-    <PatternKind.OTHER: 'other'>
-    """
-    return Pattern(tuple(values), _kind_of(values))
-
-
 def parse_pattern(text: str) -> Pattern:
     """Parse a CLI pattern argument.
 
     Two spellings are accepted: compact digits for short patterns ("4231")
     and comma-separated values for any length ("10,3,2,1,4,5,6,7,8,9").
+    Each value is read by :func:`parse_int`, so a ``+``, a blank, a ``_``
+    or a non-ASCII digit makes the text unparseable.
 
     >>> parse_pattern("312").values
     (3, 1, 2)
@@ -165,12 +135,12 @@ def parse_pattern(text: str) -> Pattern:
     if not text:
         raise ValueError("empty pattern")
     try:
-        values = tuple(map(int, text.split(",") if "," in text else text))
+        values = tuple(map(parse_int, text.split(",") if "," in text else text))
     except ValueError:
         raise ValueError(
             f"cannot parse pattern {text!r}: use digits ('312') or commas ('3,1,2')"
         ) from None
-    return classify_pattern(values)
+    return Pattern(values)
 
 
 class StreamInstance(Frozen):
@@ -491,17 +461,22 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     and on any other value, once the tokenizer reaches it.  Nothing is
     validated: see :class:`StreamValidator`.
 
-    Once the header is read, a chunk whose text holds only ASCII digits,
-    ``-``, ``" "`` and ``"\\n"`` (the canonical text that
-    :func:`format_stream_text` writes) is parsed in one call to the C JSON
-    scanner: its words joined by ``,`` inside ``[...]``.  That is exact.  With
-    no ``.``, ``e``, letter, quote, bracket or comma in the text, the only
-    JSON the array can hold is ints, and a parse that succeeds has read every
-    word as ``-?(0|[1-9][0-9]*)`` with exactly one blank between two words:
-    the list ``int()`` gives on :meth:`str.split`'s words.  Any other text,
-    and a canonical one whose JSON parse raises ValueError (``007``, a lone
-    ``-``, two blanks in a row, more digits than ``int()`` takes), goes
-    word by word as above, and its error is ``int()``'s.
+    Until the header is read, and in a chunk that holds a ``#``, the text is
+    filtered line by line first: the header is read, blank and comment lines
+    are dropped, and the rest of a value line that the last chunk ended in
+    is kept whatever it holds.  The kept lines, joined by ``"\\n"``, are then
+    read as any other chunk's text is.
+
+    A text that holds only ASCII digits, ``-``, ``" "`` and ``"\\n"`` (the
+    canonical text that :func:`format_stream_text` writes) is parsed in one
+    call to the C JSON scanner: its words joined by ``,`` inside ``[...]``.
+    That is exact.  With no ``.``, ``e``, letter, quote, bracket or comma in
+    the text, the only JSON the array can hold is ints, and a parse that
+    succeeds has read every word as ``-?(0|[1-9][0-9]*)`` with exactly one
+    blank between two words: the list ``int()`` gives on :meth:`str.split`'s
+    words.  Any other text, and a canonical one whose JSON parse raises
+    ValueError (``007``, a lone ``-``, two blanks in a row, more digits than
+    ``int()`` takes), goes word by word as above, and its error is ``int()``'s.
 
     >>> chunks = iter_stream_text(io.StringIO("# demo\\nn=3 mode=perm\\n3 1\\n2\\n"))
     >>> next(chunks)
@@ -529,46 +504,44 @@ def iter_stream_text(fh: TextIO) -> Iterator:
         text = "".join(pending)
         pending = [chunk[cut:]]
         hashed = "#" in pending[0]
-        values = None
-        if header is not None and _canonical(text):
-            try:  # one C pass for the whole chunk: exact, see above
-                values = _json_loads("[" + text.strip().replace("\n", " ").replace(" ", ",") + "]")
-            except ValueError:
-                pass  # the words are read one by one below, with int()'s error
-        if values is not None:
-            words = ()
-        elif header is not None and "#" not in text:
-            words = text.split()
-        else:
-            words = []
-            for line in text.splitlines():
-                if mid_line:  # the rest of a value line, even if it holds "#"
-                    mid_line = False
-                    words.extend(line.split())
-                    continue
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if header is None:
-                    header = _parse_header(line)
-                    yield header
-                else:
-                    words.extend(line.split())
+        continued = mid_line  # the text's first line is the rest of a value line
         # past the text's trailing blanks: a word leaves its line open
         end = len(text)
         while end and text[end - 1].isspace() and text[end - 1] not in _LINE_BREAKS:
             end -= 1
         if end:
             mid_line = text[end - 1] not in _LINE_BREAKS
+        if header is None or "#" in text:
+            kept = []  # the value lines: no header, blank or comment line
+            for line in text.splitlines():
+                if continued:  # the rest of a value line, even if it holds "#"
+                    continued = False
+                    kept.append(line)
+                    continue
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if header is None:
+                    header = _parse_header(stripped)
+                    yield header
+                else:
+                    kept.append(line)
+            text = "\n".join(kept)
+        values = None
+        if _canonical(text):
+            try:  # one C pass for the whole chunk: exact, see above
+                values = _json_loads("[" + text.strip().replace("\n", " ").replace(" ", ",") + "]")
+            except ValueError:
+                pass  # the words are read one by one below, with int()'s error
         if values is None:
             # int() alone would take "_" groups, a "+" and non-ASCII digits: when
             # the whole text has none, its words need no check of their own
             strict = text.isascii() and "_" not in text and "+" not in text
             try:
-                values = list(map(int if strict else parse_int, words))
+                values = list(map(int if strict else parse_int, text.split()))
             except ValueError as exc:
                 raise ValueError(f"non-integer stream value: {exc}") from None
-        del text, words  # while the consumer runs, only the values stay alive
+        del text  # while the consumer runs, only the values stay alive
         if values:
             yield values
         if not chunk:

@@ -35,12 +35,7 @@ import random
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import (
-    Pattern,
-    StreamInstance,
-    StreamMode,
-    classify_pattern,
-)
+from .core import Pattern, StreamInstance, StreamMode
 
 
 class Segment(NamedTuple):
@@ -105,7 +100,7 @@ def gen_seq312(n_sets: int, s: Iterable[int], t: Iterable[int]) -> DisjInstance:
         alice.extend((3 * i, 3 * i - 2))
     bob = [3 * i - 1 for i in sorted(ft, reverse=True)]
     return _assemble(
-        classify_pattern((3, 1, 2)), n_sets, fs, ft, 3 * n_sets, StreamMode.DISTINCT_SEQUENCE,
+        Pattern((3, 1, 2)), n_sets, fs, ft, 3 * n_sets, StreamMode.DISTINCT_SEQUENCE,
         ("alice", alice), ("bob", bob),
     )
 
@@ -164,7 +159,7 @@ def gen_4312(n_sets: int, s: Iterable[int], t: Iterable[int]) -> DisjInstance:
         bob.extend(pair)
     alice2 = [3 * (i - 1) + 2 for i in sorted(fs, reverse=True)]
     return _assemble(
-        classify_pattern((4, 3, 1, 2)), n_sets, fs, ft, top, StreamMode.PERMUTATION,
+        Pattern((4, 3, 1, 2)), n_sets, fs, ft, top, StreamMode.PERMUTATION,
         ("alice", alice1), ("bob", bob), ("alice", alice2),
     )
 

@@ -14,6 +14,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     "dispatch": ("FAMILIES", "new_detector", "run_detector"),
     "invariants": ("InvariantViolation", "replay_312_with_invariants"),
     "monotone": ("MonotoneDetector",),
-    "strips231": ("Detector231", "contains_231"),
+    "strips231": ("Detector231", "scan_231"),
     "window312": ("Detector312", "default_window"),
 })

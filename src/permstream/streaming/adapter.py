@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..core import Occurrence, classify_pattern, complement
+from ..core import Occurrence, Pattern, complement
 from .base import Detector, DetectorReport
 
 
@@ -24,7 +24,7 @@ class ComplementAdapter(Detector):
     """Detects the complement of the wrapped detector's pattern."""
 
     def __init__(self, inner: Detector) -> None:
-        pattern = classify_pattern(complement(inner.pattern.values, len(inner.pattern)))
+        pattern = Pattern(complement(inner.pattern.values, len(inner.pattern)))
         super().__init__(pattern, inner.n, inner.mode)
         self.inner = inner
 

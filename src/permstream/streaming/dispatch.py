@@ -33,13 +33,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, NamedTuple
 
-from ..core import (
-    Pattern,
-    PatternKind,
-    StreamInstance,
-    StreamMode,
-    require_valid_stream,
-)
+from ..core import Pattern, StreamInstance, StreamMode, require_valid_stream
 from .base import Detector, DetectorReport
 
 # Each builder imports its detector's module on its first call, so a process
@@ -107,8 +101,11 @@ FAMILIES: dict[str, Family] = {
 
 def _key(pattern: Pattern) -> str:
     """A pattern's row in the table: monotone patterns of any length share one."""
-    if pattern.kind in (PatternKind.INCREASING, PatternKind.DECREASING):
-        return pattern.kind.value
+    values = pattern.values
+    if values == tuple(range(1, len(values) + 1)):
+        return "increasing"
+    if values == tuple(range(len(values), 0, -1)):
+        return "decreasing"
     return str(pattern)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
-from ..core import StreamMode, classify_pattern
+from ..core import Pattern, StreamMode
 from .base import Detector
 
 
@@ -27,7 +27,7 @@ class MonotoneDetector(Detector):
     def __init__(self, k: int, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         if k < 1:
             raise ValueError(f"pattern length must be at least 1, got {k}")
-        super().__init__(classify_pattern(tuple(range(1, k + 1))), n, mode)
+        super().__init__(Pattern(range(1, k + 1)), n, mode)
         self.k = k
         self._x: list[int] = []
         self.peak_cells, self.structure_peaks = k, {"x-array": k}

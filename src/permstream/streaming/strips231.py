@@ -6,8 +6,8 @@ strips, four summaries suffice:
 
 1. the closing scan itself;
 2. ``high_starter`` -- the highest value that starts an ascent inside some
-   closed strip; any later lower value completes a 231 (the ascent, then the
-   new value);
+   closed strip, which the closing scan of a strip also returns; any later
+   lower value completes a 231 (the ascent, then the new value);
 3. per strip that has one, the widest *decreasing pair with an outside value
    strictly between*: a counter tracks how many values strictly between its
    endpoints have been seen in or after the strip; if at end of stream the
@@ -44,28 +44,32 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterable
 
-from ..core import StreamMode, classify_pattern
+from ..core import Pattern, StreamMode
 from .base import Detector
 
 
-def contains_231(seq: list[int]) -> bool:
-    """Direct scan for 231 in a short sequence of distinct values, in one stack pass.
+def scan_231(seq: list[int]) -> int:
+    """Scan a short sequence of distinct values for 231 in one stack pass.
+
+    Returns -1 when ``seq`` holds a 231, and otherwise its highest value
+    that starts an ascent (0 when none does).
 
     A sequence avoids 231 exactly when one stack sorts it (Knuth, TAOCP
     vol. 1, 2.2.1).  Each value pops the lower values off the stack: a
     popped value is then the 2 of an ascent to the 3 that popped it, so any
-    later value below it completes a 231.  Later pops only go higher, so the
-    last value popped is the highest such 2.
+    later value below it completes a 231.  Every value that starts an ascent
+    is popped by the first higher value after it, and while no 231 shows,
+    later pops only go higher: the last value popped is the highest starter.
     """
     popped = 0
     stack: list[int] = []
     for v in seq:
         if v < popped:
-            return True
+            return -1
         while stack and stack[-1] < v:
             popped = stack.pop()
         stack.append(v)
-    return False
+    return popped
 
 
 def widest_gap_hull(seq: list[int], ordered: list[int]) -> tuple[int, int] | None:
@@ -104,7 +108,7 @@ class Detector231(Detector):
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector231 requires a permutation stream")
-        super().__init__(classify_pattern((2, 3, 1)), n, mode)
+        super().__init__(Pattern((2, 3, 1)), n, mode)
         self.strip_size = max(1, math.isqrt(n))
         self._buffer: list[int] = []
         # part (3), one entry per closed strip with a gap pair: its endpoints,
@@ -175,8 +179,13 @@ class Detector231(Detector):
     def _close_strip(self) -> bool:
         """Summarize the buffered strip.  True when the strip itself has 231."""
         buf = self._buffer
-        if contains_231(buf):
+        # parts (1) and (2): a 231 inside the strip, else its highest ascent starter
+        starter = scan_231(buf)
+        if starter < 0:
             return True
+        if starter > self._high_starter:
+            self._high_starter = starter
+
         ordered = sorted(buf)
         first = ordered[0]
         self._seen = [
@@ -187,16 +196,6 @@ class Detector231(Detector):
         self._seen_below = [
             seen + bisect_left(ordered, high) for seen, high in zip(self._seen_below, self._high)
         ]
-
-        # part (2): the highest value starting an ascent within the strip.
-        running_max = highest_starter = 0
-        for v in reversed(buf):
-            if highest_starter < v < running_max:
-                highest_starter = v
-            if v > running_max:
-                running_max = v
-        if highest_starter > self._high_starter:
-            self._high_starter = highest_starter
 
         # part (3): widest decreasing pair with an outside value in the gap.
         hull = widest_gap_hull(buf, ordered)

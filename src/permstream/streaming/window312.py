@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
-from ..core import Occurrence, StreamMode, classify_pattern
+from ..core import Occurrence, Pattern, StreamMode
 from .base import Detector
 
 
@@ -61,7 +61,7 @@ class Detector312(Detector):
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION, k: int | None = None) -> None:
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector312 requires a permutation stream")
-        super().__init__(classify_pattern((3, 1, 2)), n, mode)
+        super().__init__(Pattern((3, 1, 2)), n, mode)
         if k is None:
             k = default_window(n)
         if k < 1:

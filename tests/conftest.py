@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from itertools import chain, combinations, permutations
 
-from permstream import Pattern, StreamInstance, StreamMode, classify_pattern
+from permstream import Pattern, StreamInstance, StreamMode
 
 
 def all_patterns(*lengths: int) -> list[Pattern]:
@@ -14,7 +14,7 @@ def all_patterns(*lengths: int) -> list[Pattern]:
     out = []
     for k in lengths:
         for p in permutations(range(1, k + 1)):
-            out.append(classify_pattern(p))
+            out.append(Pattern(p))
     return out
 
 

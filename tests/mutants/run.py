@@ -84,6 +84,35 @@ MUTANTS = (
         ("tests/test_dispatch.py::test_monotone_patterns_route_to_patience_array",),
     ),
     Mutant(
+        # a decreasing pattern longer than 2 goes to the baseline, with a warning
+        "dispatch-key-without-the-decreasing-row",
+        "permstream/streaming/dispatch.py",
+        "    if values == tuple(range(len(values), 0, -1)):\n"
+        "        return \"decreasing\"\n",
+        "",
+        ("tests/test_dispatch.py::test_monotone_patterns_route_to_patience_array",),
+    ),
+    Mutant(
+        # the patience array serves 12...k through the adapter, and k...21 natively
+        "dispatch-key-ranges-swapped",
+        "permstream/streaming/dispatch.py",
+        "    if values == tuple(range(1, len(values) + 1)):\n"
+        "        return \"increasing\"\n"
+        "    if values == tuple(range(len(values), 0, -1)):\n",
+        "    if values == tuple(range(len(values), 0, -1)):\n"
+        "        return \"increasing\"\n"
+        "    if values == tuple(range(1, len(values) + 1)):\n",
+        ("tests/test_dispatch.py::test_monotone_patterns_route_to_patience_array",),
+    ),
+    Mutant(
+        # "+3,1,2", "3, 1, 2", "1_0,..." and non-ASCII digits are read as values
+        "parse-pattern-by-int",
+        "permstream/core.py",
+        "        values = tuple(map(parse_int, text.split(\",\") if \",\" in text else text))\n",
+        "        values = tuple(map(int, text.split(\",\") if \",\" in text else text))\n",
+        ("tests/test_cli.py::test_each_input_check_gives_its_message",),
+    ),
+    Mutant(
         "bits-per-cell-by-float-log2",
         "permstream/streaming/base.py",
         "    return max(1, (n - 1).bit_length())\n",
@@ -125,7 +154,7 @@ MUTANTS = (
     Mutant(
         "strips231-ascent-threshold-never-rises",
         "permstream/streaming/strips231.py",
-        "            self._high_starter = highest_starter\n",
+        "            self._high_starter = starter\n",
         "            pass\n",
         ("tests/test_detector231.py::test_high_starter_accepts_across_strips",),
     ),
@@ -215,7 +244,32 @@ MUTANTS = (
         "permstream/streaming/strips231.py",
         "        while stack and stack[-1] < v:\n",
         "        if stack and stack[-1] < v:\n",
-        ("tests/test_detector231.py::test_contains_231_scan",),
+        ("tests/test_detector231.py::test_scan_231_finds_a_231_or_the_highest_starter",),
+    ),
+    Mutant(
+        # the scan keeps the lowest starter of an avoiding strip, not the highest
+        "strips231-scan-returns-the-first-value-it-pops",
+        "permstream/streaming/strips231.py",
+        "    popped = 0\n"
+        "    stack: list[int] = []\n"
+        "    for v in seq:\n"
+        "        if v < popped:\n"
+        "            return -1\n"
+        "        while stack and stack[-1] < v:\n"
+        "            popped = stack.pop()\n"
+        "        stack.append(v)\n"
+        "    return popped\n",
+        "    popped = first = 0\n"
+        "    stack: list[int] = []\n"
+        "    for v in seq:\n"
+        "        if v < popped:\n"
+        "            return -1\n"
+        "        while stack and stack[-1] < v:\n"
+        "            popped = stack.pop()\n"
+        "            first = first or popped\n"
+        "        stack.append(v)\n"
+        "    return first\n",
+        ("tests/test_detector231.py::test_scan_231_finds_a_231_or_the_highest_starter",),
     ),
     Mutant(
         "baseline-structure-peaks-unwritten",
@@ -283,8 +337,8 @@ MUTANTS = (
         # every chunk goes word by word: the values stay right, the fast path is dead
         "json-parse-never-taken",
         "permstream/core.py",
-        "        if header is not None and _canonical(text):\n",
-        "        if header is not None and _canonical(text) and False:\n",
+        "        if _canonical(text):\n",
+        "        if _canonical(text) and False:\n",
         ("tests/test_stream_input.py::"
          "test_every_chunk_after_the_header_of_a_formatted_stream_takes_the_json_parse",),
     ),

@@ -19,7 +19,6 @@ from permstream import (
     Detector312,
     StreamInstance,
     StreamMode,
-    classify_pattern,
     contains_bruteforce,
     count_occurrences,
     default_window,

@@ -23,9 +23,9 @@ import pytest
 
 from permstream import (
     BaselineDetector,
+    Pattern,
     StreamInstance,
     bits_per_cell,
-    classify_pattern,
     contains_bruteforce,
     occurrence_is_valid,
     parse_pattern,
@@ -193,7 +193,7 @@ def test_hardgen_constructions_beyond_the_oracle():
 
 def test_monotone_lower_bound_pair_matches_the_oracle():
     for k, n, rho, sigma in ((4, 12, (1, 3), (1, 7)), (6, 20, (1, 5, 7, 13), (1, 5, 9, 11))):
-        pattern = classify_pattern(range(1, k + 1))
+        pattern = Pattern(range(1, k + 1))
         accepting, rejecting = gen_monotone_lb(k, n, rho, sigma)
         assert assert_matches_oracle(accepting, pattern)
         assert not assert_matches_oracle(rejecting, pattern)
@@ -207,7 +207,7 @@ def test_extended_streams_match_the_oracle():
     rng = random.Random(73)
     for base in ("21", "12", "312", "231", "2413"):
         pattern = parse_pattern(base)
-        extended = classify_pattern(tuple(v + 1 for v in pattern.values) + (1,))
+        extended = Pattern(tuple(v + 1 for v in pattern.values) + (1,))
         for _ in range(6):
             tau = random_perm(rng.randint(2, 9), rng)
             want = contains_bruteforce(perm_instance(tau), pattern) is not None

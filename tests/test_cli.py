@@ -491,6 +491,23 @@ MISSING = "/no/such/dir/stream.txt"
      "bad --sigma: invalid literal for int() with base 10: '3_0'"),
     (["bench", "--pattern", "312", "--sizes", "64, 256"],
      "bad --sizes: invalid literal for int() with base 10: ' 256'"),
+    # and so does each value of a pattern, in every subcommand that reads one
+    (["detect", "--pattern", "\uff1312", "--values", "3,1,2", "--n", "3"],
+     "cannot parse pattern '\uff1312': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", "+3,1,2", "--values", "3,1,2", "--n", "3"],
+     "cannot parse pattern '+3,1,2': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", "3, 1, 2", "--values", "3,1,2", "--n", "3"],
+     "cannot parse pattern '3, 1, 2': use digits ('312') or commas ('3,1,2')"),
+    (["detect", "--pattern", "1_0,9,8,7,6,5,4,3,2,1", "--values", "3,1,2", "--n", "3"],
+     "cannot parse pattern '1_0,9,8,7,6,5,4,3,2,1': use digits ('312') or commas ('3,1,2')"),
+    (["oracle", "--pattern", "+2,1", "--values", "2,1", "--n", "2"],
+     "cannot parse pattern '+2,1': use digits ('312') or commas ('3,1,2')"),
+    (["fuzz", "--pattern", "2, 1", "--n", "3", "--exhaustive"],
+     "cannot parse pattern '2, 1': use digits ('312') or commas ('3,1,2')"),
+    (["bench", "--pattern", "\uff12\uff11", "--sizes", "64"],
+     "cannot parse pattern '\uff12\uff11': use digits ('312') or commas ('3,1,2')"),
+    (["gen", "--construction", "front4:+4,2,3,1", "--nsets", "3"],
+     "cannot parse pattern '+4,2,3,1': use digits ('312') or commas ('3,1,2')"),
 ])
 def test_each_input_check_gives_its_message(check, message, capsys):
     if callable(check):

@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 
 from permstream import (
     Occurrence,
-    PatternKind,
     StreamInstance,
     StreamMode,
-    classify_pattern,
     complement,
     format_stream_text,
     is_order_isomorphic,
@@ -48,21 +46,6 @@ def test_pattern_str_round_trips():
     assert str(parse_pattern("4231")) == "4231"
     long = parse_pattern("10,3,2,1,4,5,6,7,8,9")
     assert parse_pattern(str(long)) == long
-
-
-def test_classify_pattern_kinds():
-    assert classify_pattern((1, 2, 3)).kind is PatternKind.INCREASING
-    assert classify_pattern((3, 2, 1)).kind is PatternKind.DECREASING
-    assert classify_pattern((3, 1, 2)).kind is PatternKind.NONMONOTONE3
-    assert classify_pattern((4, 2, 3, 1)).kind is PatternKind.OTHER
-    assert classify_pattern((1,)).kind is PatternKind.INCREASING
-
-
-def test_classify_pattern_rejects_bad_values():
-    with pytest.raises(ValueError):
-        classify_pattern((1, 3))
-    with pytest.raises(ValueError):
-        classify_pattern(())
 
 
 # -- order isomorphism and symmetries ---------------------------------------

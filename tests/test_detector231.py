@@ -16,7 +16,7 @@ from permstream import (
     new_detector,
     parse_pattern,
 )
-from permstream.streaming.strips231 import contains_231, widest_gap_hull
+from permstream.streaming.strips231 import scan_231, widest_gap_hull
 from conftest import perm_instance, random_perm
 
 P231 = parse_pattern("231")
@@ -32,15 +32,22 @@ def run_and_finish(det, values):
 # -- the within-strip scan ---------------------------------------------------------
 
 
-def test_contains_231_scan():
-    assert contains_231([3, 5, 2])
-    assert contains_231([2, 3, 1])
-    assert not contains_231([1, 2, 3])
-    assert not contains_231([3, 2, 1])
-    assert not contains_231([])
-    for tau in permutations(range(1, 6)):
-        want = contains_bruteforce(perm_instance(tau), P231) is not None
-        assert contains_231(list(tau)) == want, tau
+def highest_starter(seq):
+    """O(s^2) reference: the highest value with a higher value after it, or 0."""
+    return max((a for i, a in enumerate(seq) if any(b > a for b in seq[i + 1 :])), default=0)
+
+
+def test_scan_231_finds_a_231_or_the_highest_starter():
+    assert scan_231([3, 5, 2]) == -1
+    assert scan_231([2, 3, 1]) == -1
+    assert scan_231([1, 2, 3]) == 2
+    assert scan_231([1, 3, 2, 4]) == 3  # the last value popped, not the first
+    assert scan_231([3, 2, 1]) == 0
+    assert scan_231([]) == 0
+    for k in range(1, 7):
+        for tau in permutations(range(1, k + 1)):
+            contains = contains_bruteforce(perm_instance(tau), P231) is not None
+            assert scan_231(list(tau)) == (-1 if contains else highest_starter(tau)), tau
 
 
 def contains_213_quadratic(seq):
@@ -104,13 +111,13 @@ def scanned_sequences():
         yield from (avoider, near, shuffled)
 
 
-def test_contains_231_and_gap_hull_mirror_the_quadratic_references():
+def test_scan_231_and_gap_hull_mirror_the_quadratic_references():
     found = hulls = 0
     for seq in scanned_sequences():
         top = max(seq, default=0)
         values = mirror(seq, top)
         want = contains_213_quadratic(seq)
-        assert contains_231(values) == want, seq
+        assert scan_231(values) == (-1 if want else highest_starter(values)), seq
         hull = gap_hull_quadratic(seq)
         want_hull = None if hull is None else tuple(mirror(reversed(hull), top))
         assert widest_gap_hull(values, sorted(values)) == want_hull, seq

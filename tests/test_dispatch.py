@@ -14,10 +14,9 @@ from permstream import (
     Detector312,
     MonotoneDetector,
     Occurrence,
-    PatternKind,
+    Pattern,
     StreamMode,
     TrivialRejectDetector,
-    classify_pattern,
     complement,
     contains_bruteforce,
     new_detector,
@@ -26,6 +25,7 @@ from permstream import (
     run_detector,
 )
 from permstream.core import DENSE_FLOOR
+from permstream.streaming.dispatch import _key
 from conftest import all_patterns, perm_instance, random_perm, seq_instance
 
 PERM = StreamMode.PERMUTATION
@@ -41,6 +41,22 @@ def test_monotone_patterns_route_to_patience_array():
     det = new_detector(parse_pattern("321"), 10, PERM)
     assert isinstance(det, ComplementAdapter)
     assert isinstance(det.inner, MonotoneDetector)
+
+
+@pytest.mark.parametrize("values, key", [
+    ((1,), "increasing"),
+    ((1, 2, 3), "increasing"),
+    (tuple(range(1, 13)), "increasing"),
+    ((2, 1), "decreasing"),
+    ((3, 2, 1), "decreasing"),
+    (tuple(range(12, 0, -1)), "decreasing"),
+    ((3, 1, 2), "312"),
+    ((2, 1, 3), "213"),
+    ((4, 2, 3, 1), "4231"),
+    ((10, 3, 2, 1, 4, 5, 6, 7, 8, 9), "10,3,2,1,4,5,6,7,8,9"),
+])
+def test_a_patterns_row_is_read_off_its_values(values, key):
+    assert _key(Pattern(values)) == key
 
 
 def test_312_family_routing():
@@ -142,7 +158,7 @@ def test_guard_follows_the_values_not_n(n, pattern):
     pat = parse_pattern(pattern)
     inst = seq_instance((3, 1, 2), n)
     want = contains_bruteforce(inst, pat)
-    monotone = pat.kind in (PatternKind.INCREASING, PatternKind.DECREASING)
+    monotone = pattern in ("12", "321")
     det = new_detector(pat, n, SEQ) if monotone else BaselineDetector(pat, n, SEQ)
     report = run_detector(inst, pat, det)
     assert report.verdict == (want is not None)
@@ -279,7 +295,7 @@ def test_adapter_matches_direct_complement_run():
         tau = random_perm(20, rng)
         comp = complement(tau, 20)
         for pat in pats:
-            cpat = classify_pattern(complement(pat.values, len(pat)))
+            cpat = Pattern(complement(pat.values, len(pat)))
             a = run_detector(perm_instance(tau), pat).verdict
             b = run_detector(perm_instance(comp), cpat).verdict
             assert a == b

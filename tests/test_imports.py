@@ -93,20 +93,19 @@ PUBLIC = {
     "permstream": [
         "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",
         "DetectorReport", "DisjInstance", "InvariantViolation", "MonotoneDetector",
-        "Occurrence", "Pattern", "PatternKind", "Segment", "SplitInput", "StreamInstance",
-        "StreamMode", "TrivialRejectDetector", "bits_per_cell", "classify_pattern",
-        "complement", "contains_bruteforce", "count_occurrences", "default_window",
-        "extend_stream", "format_stream_text", "gen_3142_2143", "gen_4312",
-        "gen_monotone_lb", "gen_pi4_front", "gen_seq312", "is_order_isomorphic",
-        "new_detector", "occurrence_is_valid", "parse_pattern", "parse_stream_text",
-        "random_subsets", "replay_312_with_invariants", "run_detector", "split_protocol",
-        "stream_violation",
+        "Occurrence", "Pattern", "Segment", "SplitInput", "StreamInstance", "StreamMode",
+        "TrivialRejectDetector", "bits_per_cell", "complement", "contains_bruteforce",
+        "count_occurrences", "default_window", "extend_stream", "format_stream_text",
+        "gen_3142_2143", "gen_4312", "gen_monotone_lb", "gen_pi4_front", "gen_seq312",
+        "is_order_isomorphic", "new_detector", "occurrence_is_valid", "parse_pattern",
+        "parse_stream_text", "random_subsets", "replay_312_with_invariants", "run_detector",
+        "split_protocol", "stream_violation",
     ],
     "permstream.streaming": [
         "BaselineDetector", "ComplementAdapter", "Detector", "Detector231", "Detector312",
         "DetectorReport", "FAMILIES", "InvariantViolation", "MonotoneDetector",
-        "TrivialRejectDetector", "bits_per_cell", "contains_231", "default_window",
-        "new_detector", "replay_312_with_invariants", "run_detector",
+        "TrivialRejectDetector", "bits_per_cell", "default_window", "new_detector",
+        "replay_312_with_invariants", "run_detector", "scan_231",
     ],
 }
 

@@ -9,10 +9,10 @@ import pytest
 
 from permstream import (
     Occurrence,
+    Pattern,
     SplitInput,
     StreamInstance,
     StreamMode,
-    classify_pattern,
     complement,
     contains_bruteforce,
     count_occurrences,
@@ -252,7 +252,7 @@ def test_count_complement_duality():
         tau = random_perm(7, rng)
         comp = perm_instance(complement(tau, 7))
         for pat in all_patterns(3):
-            cpat = classify_pattern(complement(pat.values, len(pat)))
+            cpat = Pattern(complement(pat.values, len(pat)))
             assert count_occurrences(perm_instance(tau), pat) == count_occurrences(
                 comp, cpat
             )

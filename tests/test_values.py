@@ -16,10 +16,8 @@ from permstream import (
     DetectorReport,
     Occurrence,
     Pattern,
-    PatternKind,
     StreamInstance,
     StreamMode,
-    classify_pattern,
     stream_violation,
 )
 
@@ -28,8 +26,8 @@ def values():
     """Two equal-field builds of each hashable type, and a differing one."""
     return [
         (
-            lambda: Pattern((3, 1, 2), PatternKind.NONMONOTONE3),
-            classify_pattern((1, 3, 2)),
+            lambda: Pattern((3, 1, 2)),
+            Pattern((1, 3, 2)),
         ),
         (
             lambda: Occurrence(positions=(1, 4, None), values=(3, 1, 2)),
@@ -73,8 +71,8 @@ def test_a_checked_instance_equals_an_unchecked_one():
 
 
 @pytest.mark.parametrize("obj, field", [
-    (classify_pattern((2, 1)), "values"),
-    (classify_pattern((2, 1)), "kind"),
+    (Pattern((2, 1)), "values"),
+    (Occurrence(positions=(1,), values=(1,)), "values"),
     (Occurrence(positions=(1,), values=(1,)), "positions"),
     (StreamInstance(n=1, mode=StreamMode.PERMUTATION, elements=(1,)), "elements"),
     (DetectorReport(False, None, 0, 0, {}), "verdict"),
@@ -88,16 +86,14 @@ def test_fields_cannot_be_assigned(obj, field):
     assert getattr(obj, field) == before
 
 
-@pytest.mark.parametrize("values, kind, message", [
-    ((), PatternKind.OTHER, "pattern must have at least one value"),
-    ((1, 3), PatternKind.INCREASING, r"pattern \(1, 3\) is not a permutation of 1..2"),
-    ((2, 2), PatternKind.OTHER, r"pattern \(2, 2\) is not a permutation of 1..2"),
-    ((2, 1), PatternKind.INCREASING,
-     r"pattern \(2, 1\) has kind PatternKind.DECREASING, not PatternKind.INCREASING"),
+@pytest.mark.parametrize("values, message", [
+    ((), "pattern must have at least one value"),
+    ((1, 3), r"pattern \(1, 3\) is not a permutation of 1..2"),
+    ([2, 2], r"pattern \(2, 2\) is not a permutation of 1..2"),
 ])
-def test_pattern_constructor_errors(values, kind, message):
+def test_pattern_constructor_errors(values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Pattern(values, kind)
+        Pattern(values)
 
 
 @pytest.mark.parametrize("positions, values, message", [
@@ -113,7 +109,7 @@ def test_occurrence_constructor_errors(positions, values, message):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 12])
 def test_pattern_length_is_k(k):
-    pattern = classify_pattern(tuple(range(k, 0, -1)))
+    pattern = Pattern(tuple(range(k, 0, -1)))
     assert len(pattern) == k
     assert str(pattern) == ("".join if k <= 9 else ",".join)(str(v) for v in pattern.values)
 
@@ -121,7 +117,7 @@ def test_pattern_length_is_k(k):
 def test_values_survive_copy_and_pickle():
     occ = Occurrence(positions=(2, None), values=(1, 2))
     for obj in (
-        classify_pattern((4, 2, 3, 1)),
+        Pattern((4, 2, 3, 1)),
         occ,
         StreamInstance(n=2, mode=StreamMode.DISTINCT_SEQUENCE, elements=(2,)),
         DetectorReport(True, occ, 1, 2, {"A": 1}),
@@ -132,8 +128,8 @@ def test_values_survive_copy_and_pickle():
 
 
 def test_repr_names_every_field():
-    assert repr(classify_pattern((2, 1))) == (
-        "Pattern(values=(2, 1), kind=<PatternKind.DECREASING: 'decreasing'>)"
+    assert repr(Pattern((2, 1))) == (
+        "Pattern(values=(2, 1))"
     )
     assert repr(Occurrence(positions=(1, None), values=(1, 2))) == (
         "Occurrence(positions=(1, None), values=(1, 2))"
