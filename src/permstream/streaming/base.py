@@ -20,9 +20,12 @@ follows the values pushed, never n.  It rejects malformed pushes with a
 clear error and is boundary validation rather than algorithm state, so it
 is deliberately excluded from the metering.
 
-A loop meters only where one of its structures can grow, and writes
-``peak_cells`` and ``structure_peaks`` itself, once per exit.  The peaks are
-those the structures reach after each non-accepting value.  A new
+A loop meters only where a peak can be reached, and writes ``peak_cells``
+and ``structure_peaks`` itself, once per exit.  The peaks are those the
+structures reach after each non-accepting value.  A loop whose sizes only
+grow between known points may meter at those points alone: the ``231``
+loop meters before a strip's closing value, after each close, and before
+an accept or at the end of a batch, not on every value.  A new
 ``structure_peaks`` dict is assigned each time, never edited in place,
 because :meth:`Detector.finish` hands it to the report.
 """

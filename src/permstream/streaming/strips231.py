@@ -17,19 +17,30 @@ strips, four summaries suffice:
    the same counting argument with the pair (maximum, running minimum).
 
 Only the end-of-stream checks of (3) and (4) can conclude "some value must
-have occurred earlier", so this detector needs the permutation promise and
-delivers verdict-only acceptance: it proves existence without ever holding
-all three witness positions at once.
+have occurred earlier", so this detector needs the permutation promise, and
+those two parts can prove existence without ever holding all three witness
+positions at once.  The detector reports verdicts only, but that is inherent
+to (3) and (4) alone: in (1) the buffer holds all three witness values, and
+(2) would need 4 more cells (the starter, the value that popped it and their
+positions).
 
 Summaries (3) and (4) are kept as parallel lists, one list per field.  (3)
 has an entry only for a strip with such a pair; (4) has one per closed
 strip, whose lowest later value is the maximum itself until a lower value
 arrives.  Because only the end-of-stream check reads their counters, they
 are not updated per push: when a strip closes, each counter list is folded
-with the strip's sorted values in one comprehension, a few bisects per
-entry.  The metered cell count is kept incrementally; the one cell a (4)
-entry gains when its first value below the strip maximum arrives is counted
-on that exact push, from a sorted list of the maxima still waiting for one.
+with the strip's sorted values in one comprehension.  An entry whose
+endpoints lie outside the strip's range gains none or all of the strip by
+two comparisons; only an endpoint inside the range bisects.  The metered
+cell count is kept incrementally; the one cell a (4) entry gains when its
+first value below the strip maximum arrives is counted on that exact push,
+from a sorted list of the maxima still waiting for one.
+
+A push costs one comparison and an append: the bar is the larger of
+``high_starter`` and the highest waiting maximum, and only a value below it
+does more.  Inside a strip the metered cells ``1 + len(buffer) + records``
+only grow, so the loop meters them only before a strip's closing value,
+just after each close, and before an accept or at the end of a batch.
 Closing a strip costs O(s log s) for the strip's sort plus O(log s) per
 earlier strip (the in-strip scans are linear), so a push costs O(log n)
 amortized.
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from itertools import islice
 from typing import Iterable
 
 from ..core import Pattern, StreamMode
@@ -62,13 +74,19 @@ def scan_231(seq: list[int]) -> int:
     later pops only go higher: the last value popped is the highest starter.
     """
     popped = 0
-    stack: list[int] = []
+    # the stack's top is kept in a local; under it, math.inf ends the stack
+    top, stack = math.inf, []
+    push, pop = stack.append, stack.pop
     for v in seq:
         if v < popped:
             return -1
-        while stack and stack[-1] < v:
-            popped = stack.pop()
-        stack.append(v)
+        if v > top:
+            popped = top
+            while stack[-1] < v:
+                popped = pop()
+        else:
+            push(top)
+        top = v
     return popped
 
 
@@ -79,30 +97,42 @@ def widest_gap_hull(seq: list[int], ordered: list[int]) -> tuple[int, int] | Non
     outside ``seq`` below it, a count that never falls as x grows; so an
     earlier a and a later b below it have an outside value strictly between
     exactly when that count is larger at a.  The highest such a is the
-    highest value whose count is above the smallest count after it, and the
-    lowest such b the lowest value whose count is below the largest count
-    before it.  None when ``seq`` has no such pair.
+    highest value whose count is above the count of the lowest value after
+    it, and the lowest such b the lowest value whose count is below the
+    count of the highest value before it.  The two passes track those
+    values with plain comparisons and rank only the candidates that pass
+    them, from a dict built at the first one.  None when ``seq`` has no such
+    pair.
     """
-    outside = [x - bisect_left(ordered, x) for x in seq]
-    lo, hi = math.inf, 0
-    suffix_min = math.inf
-    for x, count in zip(reversed(seq), reversed(outside)):
-        if count > suffix_min and x > hi:
-            hi = x
-        suffix_min = min(suffix_min, count)
-    prefix_max = -1
-    for x, count in zip(seq, outside):
-        if count < prefix_max and x < lo:
+    if not seq:
+        return None
+    rank: dict[int, int] = {}  # filled when the first pair is tested
+    hi, least = 0, ordered[-1] + 1  # least: the lowest value after x
+    for x in reversed(seq):
+        if x < least:
+            least = x
+        elif x > hi:
+            if not rank:
+                rank = dict(zip(ordered, range(len(ordered))))
+            if x - rank[x] > least - rank[least]:
+                hi = x
+    if not hi:
+        return None
+    lo, most = hi, 0  # most: the highest value before x
+    for x in seq:
+        if x > most:
+            most = x
+        elif x < lo and x - rank[x] < most - rank[most]:
             lo = x
-        prefix_max = max(prefix_max, count)
-    return (lo, hi) if hi else None
+    return lo, hi
 
 
 class Detector231(Detector):
     """Streaming detector for the pattern 231 on permutation streams.
 
-    Acceptance is verdict-only (``occurrence`` stays None): parts (3) and (4)
-    prove that a witness exists without storing its positions.
+    Acceptance is verdict-only (``occurrence`` stays None) on every part,
+    though only parts (3) and (4) need that: they prove that a witness
+    exists without storing its positions.
     """
 
     def __init__(self, n: int, mode: StreamMode = StreamMode.PERMUTATION) -> None:
@@ -133,30 +163,50 @@ class Detector231(Detector):
 
     def _feed(self, values: Iterable[int]) -> bool:
         s, buf, waiting = self.strip_size, self._buffer, self._waiting_highs
+        append = buf.append
         high_starter, record_cells, pos = self._high_starter, self._record_cells, self.pushes
         peak_cells, peak_buffer = self.peak_cells, self.structure_peaks.get("buffer", 0)
+        values = iter(values)
         accepted = False
-        for v in values:
-            pos += 1
-            if v < high_starter:
-                accepted = True
-                break
-            if waiting and waiting[-1] > v:
-                kept = bisect_right(waiting, v)
-                record_cells += len(waiting) - kept
-                del waiting[kept:]
-            buf.append(v)
+        while True:
+            # a value below the bar accepts or is the first below a waiting maximum
+            bar = waiting[-1] if waiting and waiting[-1] > high_starter else high_starter
+            # read the strip's values up to its last before the close, or else its closing value
+            held = len(buf)
+            want = s - 1 - held or 1
+            for v in islice(values, want):
+                if v < bar:
+                    if v < high_starter:
+                        accepted = True
+                        break
+                    kept = bisect_right(waiting, v)
+                    record_cells += len(waiting) - kept
+                    del waiting[kept:]
+                    bar = waiting[-1] if waiting and waiting[-1] > high_starter else high_starter
+                append(v)
+            pos += len(buf) - held
             if len(buf) == s:
                 self._record_cells = record_cells
                 if self._close_strip():
                     accepted = True
                     break
                 high_starter, record_cells = self._high_starter, self._record_cells
-            # the buffer grows on every value, so every value is metered
-            if 1 + len(buf) + record_cells > peak_cells:
-                peak_cells = 1 + len(buf) + record_cells
-            if len(buf) > peak_buffer:
-                peak_buffer = len(buf)
+                if 1 + record_cells > peak_cells:
+                    peak_cells = 1 + record_cells
+                continue
+            # inside a strip 1 + len(buf) + record_cells only grows, so its peak is
+            # metered here: before the closing value, the accept or the batch end
+            # (an empty buffer is the state metered after a close, or no value yet)
+            if buf:
+                if 1 + len(buf) + record_cells > peak_cells:
+                    peak_cells = 1 + len(buf) + record_cells
+                if len(buf) > peak_buffer:
+                    peak_buffer = len(buf)
+            if accepted:
+                pos += 1
+                break
+            if len(buf) - held < want:
+                break
         # closed strips are only ever added, and never on an accept
         self.peak_cells = peak_cells
         self.structure_peaks = {"buffer": peak_buffer, "strips": len(self._high)}
@@ -187,14 +237,25 @@ class Detector231(Detector):
             self._high_starter = starter
 
         ordered = sorted(buf)
-        first = ordered[0]
+        first, last, size = ordered[0], ordered[-1], len(ordered)
+        # an earlier strip's value outside [first, last] has none or all of
+        # this strip below it, so only the values inside the range bisect
         self._seen = [
-            seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)
+            seen
+            if hi < first or lo > last
+            else seen + size
+            if lo < first and hi > last
+            else seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)
             for seen, lo, hi in zip(self._seen, self._gap_lo, self._gap_hi)
         ]
         self._low_after = [low if low < first else first for low in self._low_after]
         self._seen_below = [
-            seen + bisect_left(ordered, high) for seen, high in zip(self._seen_below, self._high)
+            seen
+            if high < first
+            else seen + size
+            if high > last
+            else seen + bisect_left(ordered, high)
+            for seen, high in zip(self._seen_below, self._high)
         ]
 
         # part (3): widest decreasing pair with an outside value in the gap.

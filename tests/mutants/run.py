@@ -198,26 +198,76 @@ MUTANTS = (
     Mutant(
         "strips231-fold-skips-the-gap-count",
         "permstream/streaming/strips231.py",
-        "            seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)\n",
-        "            seen\n",
+        "            else seen + bisect_left(ordered, hi) - bisect_right(ordered, lo)\n",
+        "            else seen\n",
         ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
     ),
     Mutant(
-        # the verdicts stay right (the pair (inf, 0) counts nothing and never
+        # a gap that holds the whole strip counts none of it
+        "strips231-fold-skips-a-strip-inside-the-gap",
+        "permstream/streaming/strips231.py",
+        "            else seen + size\n"
+        "            if lo < first and hi > last\n",
+        "            else seen\n"
+        "            if lo < first and hi > last\n",
+        ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # a maximum above the whole strip counts none of it
+        "strips231-fold-skips-a-strip-below-the-maximum",
+        "permstream/streaming/strips231.py",
+        "            else seen + size\n"
+        "            if high > last\n",
+        "            else seen\n"
+        "            if high > last\n",
+        ("tests/test_detector231.py::test_matches_oracle_on_all_small_permutations",),
+    ),
+    Mutant(
+        # the verdicts stay right (the pair (0, 0) counts nothing and never
         # fires): only the columns and the metered cells show the extra entry
         "strips231-gap-entry-for-a-strip-without-one",
         "permstream/streaming/strips231.py",
-        "    return (lo, hi) if hi else None\n",
-        "    return (lo, hi)\n",
+        "    if not hi:\n"
+        "        return None\n",
+        "",
         ("tests/test_detector231.py::test_records_match_whole_stream_counts_on_small_permutations",),
     ),
     Mutant(
         # the oracle tests pass with it: only the metered cells drop
         "strips231-arrivals-not-metered",
         "permstream/streaming/strips231.py",
-        "                record_cells += len(waiting) - kept\n",
+        "                    record_cells += len(waiting) - kept\n",
         "",
         ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[avoider]",),
+    ),
+    Mutant(
+        # a strip that fills up in one batch goes on to its closing value
+        # unmetered, so its peak is lost
+        "strips231-no-peak-before-the-closing-value",
+        "permstream/streaming/strips231.py",
+        "            if buf:\n",
+        "            if not accepted and len(buf) - held == want:\n"
+        "                continue\n"
+        "            if buf:\n",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[increasing]",),
+    ),
+    Mutant(
+        # the buffer is metered with the closing value still in it
+        "strips231-buffer-peak-is-the-strip-size",
+        "permstream/streaming/strips231.py",
+        "            pos += len(buf) - held\n",
+        "            pos += len(buf) - held\n"
+        "            peak_buffer = max(peak_buffer, len(buf))\n",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[avoider]",),
+    ),
+    Mutant(
+        # a push meters at its own batch end, so only a batch that reads the
+        # values before the accept can tell
+        "strips231-no-peak-on-an-accept-inside-a-strip",
+        "permstream/streaming/strips231.py",
+        "            if buf:\n",
+        "            if buf and not accepted:\n",
+        ("tests/test_detector231.py::test_records_match_whole_stream_counts_at_n400[late_accept]",),
     ),
     Mutant(
         "strips231-end-check-telemetry-unwritten",
@@ -232,8 +282,11 @@ MUTANTS = (
         # only the accept position moves
         "strips231-stack-pass-never-records-the-popped-value",
         "permstream/streaming/strips231.py",
-        "            popped = stack.pop()\n",
-        "            stack.pop()\n",
+        "            popped = top\n"
+        "            while stack[-1] < v:\n"
+        "                popped = pop()\n",
+        "            while stack[-1] < v:\n"
+        "                pop()\n",
         ("tests/test_detector231.py::test_matches_oracle_on_every_avoider_and_a_swap_of_each[9]",),
     ),
     Mutant(
@@ -242,8 +295,9 @@ MUTANTS = (
         # own test must
         "strips231-stack-pass-pops-one-value",
         "permstream/streaming/strips231.py",
-        "        while stack and stack[-1] < v:\n",
-        "        if stack and stack[-1] < v:\n",
+        "            while stack[-1] < v:\n"
+        "                popped = pop()\n",
+        "",
         ("tests/test_detector231.py::test_scan_231_finds_a_231_or_the_highest_starter",),
     ),
     Mutant(
@@ -251,23 +305,35 @@ MUTANTS = (
         "strips231-scan-returns-the-first-value-it-pops",
         "permstream/streaming/strips231.py",
         "    popped = 0\n"
-        "    stack: list[int] = []\n"
+        "    # the stack's top is kept in a local; under it, math.inf ends the stack\n"
+        "    top, stack = math.inf, []\n"
+        "    push, pop = stack.append, stack.pop\n"
         "    for v in seq:\n"
         "        if v < popped:\n"
         "            return -1\n"
-        "        while stack and stack[-1] < v:\n"
-        "            popped = stack.pop()\n"
-        "        stack.append(v)\n"
+        "        if v > top:\n"
+        "            popped = top\n"
+        "            while stack[-1] < v:\n"
+        "                popped = pop()\n"
+        "        else:\n"
+        "            push(top)\n"
+        "        top = v\n"
         "    return popped\n",
         "    popped = first = 0\n"
-        "    stack: list[int] = []\n"
+        "    # the stack's top is kept in a local; under it, math.inf ends the stack\n"
+        "    top, stack = math.inf, []\n"
+        "    push, pop = stack.append, stack.pop\n"
         "    for v in seq:\n"
         "        if v < popped:\n"
         "            return -1\n"
-        "        while stack and stack[-1] < v:\n"
-        "            popped = stack.pop()\n"
+        "        if v > top:\n"
+        "            popped = top\n"
         "            first = first or popped\n"
-        "        stack.append(v)\n"
+        "            while stack[-1] < v:\n"
+        "                popped = pop()\n"
+        "        else:\n"
+        "            push(top)\n"
+        "        top = v\n"
         "    return first\n",
         ("tests/test_detector231.py::test_scan_231_finds_a_231_or_the_highest_starter",),
     ),

@@ -354,27 +354,45 @@ def reference_run(values, n):
     return accept, records, max(m[0] for m in metered), peaks
 
 
+def reference_routes(values):
+    """Fresh detectors run over ``values``: by ``push``, then by ``_feed`` in
+    batches of the whole stream, 7, s - 1, s and s + 1 values.
+
+    Yields (route, detector, whether it accepted), each run up to its accept.
+    """
+    n = len(values)
+    s = max(1, math.isqrt(n))
+    det = Detector231(n)
+    yield "push", det, any(det.push(v) for v in values)
+    for size in sorted({n, 7, s - 1, s, s + 1} - {0}):
+        det = Detector231(n)
+        yield size, det, any(det._feed(values[i : i + size]) for i in range(0, n, size))
+
+
 def check_against_reference(values):
     n = len(values)
-    det = Detector231(n)
-    accepted = any(det.push(v) for v in values)
-    rep = det.finish()
     accept, records, peak_cells, peaks = reference_run(values, n)
-    assert (det.pushes if accepted else None) == accept, values
-    assert rep.peak_cells == peak_cells, values
-    assert rep.structure_peaks == peaks, values
-    if accept is None:
-        closed = records[: len(det._high)]
-        assert len(closed) >= len(records) - 1
-        # part (3): an entry for each closed strip with a gap pair, in order
-        gaps = [(rec["gap_lo"], rec["gap_hi"], rec["seen"]) for rec in closed if rec["gap_lo"]]
-        assert list(zip(det._gap_lo, det._gap_hi, det._seen)) == gaps, values
-        # part (4): one entry per closed strip, low_after the maximum until one arrives
-        highs = [
-            (rec["high"], rec["low_after"] or rec["high"], rec["seen_below"]) for rec in closed
-        ]
-        assert list(zip(det._high, det._low_after, det._seen_below)) == highs, values
-    return rep
+    reports = []
+    for route, det, accepted in reference_routes(values):
+        rep = det.finish()
+        where = (route, values)
+        assert (det.pushes if accepted else None) == accept, where
+        assert rep.peak_cells == peak_cells, where
+        assert rep.structure_peaks == peaks, where
+        if accept is None:
+            closed = records[: len(det._high)]
+            assert len(closed) >= len(records) - 1
+            # part (3): an entry for each closed strip with a gap pair, in order
+            gaps = [(rec["gap_lo"], rec["gap_hi"], rec["seen"]) for rec in closed if rec["gap_lo"]]
+            assert list(zip(det._gap_lo, det._gap_hi, det._seen)) == gaps, where
+            # part (4): one entry per closed strip, low_after the maximum until one arrives
+            highs = [
+                (rec["high"], rec["low_after"] or rec["high"], rec["seen_below"]) for rec in closed
+            ]
+            assert list(zip(det._high, det._low_after, det._seen_below)) == highs, where
+        reports.append(rep)
+    assert all(rep == reports[0] for rep in reports), values
+    return reports[0]
 
 
 def test_records_match_whole_stream_counts_on_small_permutations():
@@ -387,26 +405,35 @@ def test_records_match_whole_stream_counts_on_small_permutations():
     assert finished > 1000
 
 
+def late_miss(avoider):
+    """A 231-avoider with its last rising neighbours a < b swapped, among those
+    with a value between them and none of those values in a's strip or later:
+    b, a then completes a 231 that only the end-of-stream counters can see."""
+    n = len(avoider)
+    s = max(1, math.isqrt(n))
+    i = next(
+        i
+        for i in range(n - 2, -1, -1)
+        if avoider[i] + 1 < avoider[i + 1]
+        and not any(avoider[i] < x < avoider[i + 1] for x in avoider[i - i % s :])
+    )
+    swapped = list(avoider)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return swapped
+
+
 def n400_streams():
     rng = random.Random(45)
     avoider = avoider_231(400, rng)
-    # swap the last rising neighbours a < b with a value between them, none
-    # of which arrives in a's strip or later: b, a then completes a 231 that
-    # only the end-of-stream counters can see
-    late_miss = list(avoider)
-    i = max(
-        i
-        for i in range(399)
-        if late_miss[i] + 1 < late_miss[i + 1]
-        and not any(late_miss[i] < x < late_miss[i + 1] for x in late_miss[i - i % 20 :])
-    )
-    late_miss[i], late_miss[i + 1] = late_miss[i + 1], late_miss[i]
     return {
         "increasing": list(range(1, 401)),
         "decreasing": list(range(400, 0, -1)),
         "random": list(random_perm(400, rng)),
         "avoider": avoider,
-        "late_miss": late_miss,
+        "late_miss": late_miss(avoider),
+        # the first strip ends 19, 20, 21, so 18, moved to the 19th value of
+        # the second strip, accepts there: the cells peak just before it
+        "late_accept": [*range(1, 18), *range(19, 40), 18, *range(40, 401)],
     }
 
 
@@ -417,6 +444,7 @@ N400_PEAKS = {
     "random": (20, 19, 0),
     "avoider": (131, 19, 20),
     "late_miss": (131, 19, 20),
+    "late_accept": (21, 19, 1),
 }
 
 
@@ -430,6 +458,36 @@ def test_records_match_whole_stream_counts_at_n400(name):
     peaks = rep.structure_peaks
     assert (rep.peak_cells, peaks["buffer"], peaks["strips"]) == N400_PEAKS[name]
     assert list(peaks) == ["buffer", "strips"]
+
+
+# (pushes, accept position, verdict, peak_cells, structure_peaks) at the
+# size of the benchmark's full pass, n = 2 * 10^4 (s = 141), for 231 on each
+# stream and for 213 on its complement
+N20K = {
+    "adversary": (20000, None, False, 981, {"buffer": 140, "strips": 142}),
+    "increasing": (20000, None, False, 421, {"buffer": 140, "strips": 142}),
+    "late_miss": (20000, None, True, 975, {"buffer": 140, "strips": 142}),
+    "random": (141, 141, True, 141, {"buffer": 140, "strips": 0}),  # a 231 in strip 1
+}
+
+
+def test_runs_at_the_full_pass_size_keep_their_pinned_telemetry():
+    n = 20000
+    rng = random.Random(45)
+    avoider = avoider_231(n, rng)
+    streams = {
+        "adversary": Detector231(n).adversary(),
+        "increasing": list(range(1, n + 1)),
+        "late_miss": late_miss(avoider),
+        "random": list(random_perm(n, rng)),
+    }
+    for name, values in streams.items():
+        for pattern, stream in ((P231, values), (parse_pattern("213"), complement(values, n))):
+            det = new_detector(pattern, n)
+            accepted = det._feed(stream)
+            rep = det.finish()
+            got = (det.pushes, det.pushes if accepted else None, rep.verdict, rep.peak_cells)
+            assert (*got, rep.structure_peaks) == N20K[name], (name, pattern)
 
 
 def test_adversary_drives_the_detector_to_its_peak():
