@@ -7,12 +7,15 @@ patterns, and for every non-monotone 3-pattern in ``seq`` mode.  At finish
 it runs :func:`first_occurrence`, an exact matcher of its own; it shares no
 code with :mod:`permstream.oracle`, which the tests compare it against.
 
-The matcher names each pattern value by its *slot*, its index in the
+The matcher compares values only, so it runs on their ranks 1..m, m being
+the number of buffered values; a ``perm`` buffer at finish already is its
+ranking.  It names each pattern value by its *slot*, its index in the
 pattern.  With a value fixed at every slot before the last three (the
 *prefix*), one sweep decides whether the last three slots x, y, z can be
-completed: it moves the position of y forward and keeps two sorted lists,
-the values between the prefix and y and the values after y.  x and z then
-each lie in a value interval, so each is one ``bisect`` away, and their
+completed: it moves the position of y forward and keeps two presence maps,
+one byte per rank, of the values between the prefix and y and of the
+values after y.  x and z then each lie in a value interval, so each
+is one ``find`` or ``rfind`` over that interval of a map, and their
 relative order is one comparison of the extreme candidates.  The sweep
 stops as soon as no z is left after y.  A position-order loop places the
 prefix (a single start value for length-4 patterns, nothing for length 3)
@@ -32,14 +35,17 @@ that side of a failed value is skipped: for the 4 of 4231, each value
 below a failed one.  When they lie on both sides, as around the 3 of 3142,
 only those that no later value separates from a failed one are skipped.
 
-Counting each sorted-list update as one step (it is one C-level memmove),
-a sweep costs O(m log m) on m buffered values, so deciding costs
-O(m log m) for a length-3 pattern, O(m^2 log m) for length 4 and
-O(m^(k-2) log m) for length k, against the oracle's about O(m^k) on
-streams that avoid the pattern; the witness adds at most O(m^2).  The
-skipping costs one update per candidate and one sort after a loop's first
-failed sweep or scan, so it keeps these bounds.  Extra memory is O(m)
-cells; nothing is sized from n.
+A map update is one byte store, O(1), and a query is one C-level scan over
+at most its interval's width, so at most m bytes.  A sweep starts from a map
+of ones less the values at or before its start, one store each, so one that
+stops early never reads the rest of the buffer.  Counting a scan as one
+step, a sweep costs O(m), so deciding costs O(m) for a length-3 pattern,
+O(m^2) for length 4 and O(m^(k-2)) for length k, against the oracle's about
+O(m^k) on streams that avoid the pattern; the witness adds at most O(m^2).
+The skipping costs two stores and at most four scans per candidate, and
+one map after a loop's first failed sweep or scan, so it keeps these
+bounds.  Extra memory is O(m) cells for the ranks of a ``seq`` buffer and
+O(k) maps of m + 1 bytes; nothing is sized from n or from the values.
 
 The trivial rejector serves patterns longer than the universe: nothing can
 match, so it stores nothing and always rejects.
@@ -47,7 +53,6 @@ match, so it stores nothing and always rejects.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -98,9 +103,10 @@ class TrivialRejectDetector(Detector):
 def first_occurrence(values: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
     """0-based positions of the first occurrence of ``pattern`` in ``values``.
 
-    ``values`` are distinct positive ints.  Occurrences are ordered by their
-    position tuples, compared left to right.  Returns None when ``values``
-    avoid the pattern.
+    ``values`` are distinct positive ints; only their order is read, so no
+    structure is sized from them.  Occurrences are ordered by their position
+    tuples, compared left to right.  Returns None when ``values`` avoid the
+    pattern.
 
     >>> first_occurrence([5, 3, 4, 1, 2], (2, 3, 1))
     (1, 2, 3)
@@ -112,9 +118,14 @@ def first_occurrence(values: Sequence[int], pattern: Sequence[int]) -> tuple[int
         return None
     if k <= 2:
         return _first_short(values, pattern)
+    # the matcher compares values only, so it runs on their ranks 1..m; a
+    # buffer of distinct positive ints whose largest is m already is its ranking
+    if max(values) != m:
+        rank = {v: r for r, v in enumerate(sorted(values), 1)}
+        values = [rank[v] for v in values]
     j = k - 3  # the prefix: slots 0..j-1 are placed in position order
     # val[j] and val[j + 1] lie below and above every value
-    val = [0] * j + [0, max(values) + 1]
+    val = [0] * j + [0, m + 1]
     # Slot t's value lies above the value at slot lower[t] and below the one
     # at upper[t]: the earlier prefix slots nearest to it in pattern order.
     lower, upper = [j] * k, [j + 1] * k
@@ -170,28 +181,41 @@ def _undominated(
     and w, or likewise with w < v and below.  Each completion of v then
     completes w: its values lie after p, each on the same side of w as of v.
     The nearest failed value on each side is the one to test, and a value
-    between two candidates is a candidate too, so ``later`` holds only those.
+    between two candidates is a candidate too, so only ``(lo, hi)`` of the
+    maps is read.
     """
     below, above = sides
-    failed: list[int] = []  # the values tried, sorted
-    later: list[int] = []  # once one fails, the sorted candidate values after p
+    # once one fails: presence maps of the values tried and of those after p
+    failed = later = None
     for p in range(start, stop):
         v = values[p]
         if not lo < v < hi:
             continue
-        i = 0
-        if failed:
-            r = bisect_left(later, v)
-            del later[r]
-            i = bisect_left(failed, v)
-            if i and (not below or bisect_right(later, failed[i - 1]) == r):
+        if failed is not None:
+            later[v] = 0
+            w = failed.rfind(1, lo + 1, v)
+            if w >= 0 and (not below or later.find(1, w + 1, v) < 0):
                 continue
-            if i < len(failed) and (not above or bisect_left(later, failed[i]) == r):
+            w = failed.find(1, v + 1, hi)
+            if w >= 0 and (not above or later.find(1, v + 1, w) < 0):
                 continue
         yield p
-        if not failed:
-            later = sorted([u for u in values[p + 1 :] if lo < u < hi])
-        failed.insert(i, v)
+        if failed is None:
+            later = _after(values, p)
+            failed = bytearray(len(later))
+        failed[v] = 1
+
+
+def _after(values: Sequence[int], p: int) -> bytearray:
+    """A presence map of the values after position ``p``, indexed by value.
+
+    ``values`` are ranks, so the map has ``len(values) + 1`` bytes; byte 0
+    stands for no value and is never read.
+    """
+    present = bytearray(b"\1" * (len(values) + 1))
+    for v in values[: p + 1]:
+        present[v] = 0
+    return present
 
 
 def _first_short(values: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
@@ -277,38 +301,39 @@ def _sweep(
 
     Completing means some x in ``[start, min(y, x_stop))`` and some z after
     y whose values fit their intervals and the pattern's order with y's
-    value and with each other.
+    value and with each other.  ``values`` are ranks, as for :func:`_after`.
     """
     px, py, pz = slots
     x_below, z_below, x_lowest = px < py, pz < py, px < pz
     (lx, hx), (ly, hy), (lz, hz) = bounds
-    # the sorted values that fit x's interval at positions start..min(y, x_stop) - 1,
-    # and those that fit z's interval at positions after y
-    between: list[int] = []
-    after = sorted([v for v in values[start + 1 :] if lz < v < hz])
+    # presence maps by value: the values at positions start..min(y, x_stop) - 1,
+    # and those after y; only the part inside x's or z's interval is read
+    after = _after(values, start)
+    between = bytearray(len(after))
+    left = after.count(1, lz + 1, hz)  # the values after y that fit z's interval
+    if not left:
+        return None
     for y in range(start + 1, len(values) - 1):
         vy = values[y]
         if lz < vy < hz:
-            del after[bisect_left(after, vy)]
-            if not after:  # no z is left for this y or any later one
+            after[vy] = 0
+            left -= 1
+            if not left:  # no z is left for this y or any later one
                 return None
-        if y <= x_stop and lx < values[y - 1] < hx:
-            insort(between, values[y - 1])
+        if y <= x_stop:
+            between[values[y - 1]] = 1
         if not ly < vy < hy:
             continue
-        # x and z narrowed by y's value: each is one interval
-        xl, xh = (lx, min(hx, vy)) if x_below else (max(lx, vy), hx)
-        zl, zh = (lz, min(hz, vy)) if z_below else (max(lz, vy), hz)
+        # x and z narrowed by y's value: each is one interval (conditional
+        # expressions, as min and max calls cost more than the scans here)
+        xl, xh = (lx, vy if vy < hx else hx) if x_below else (vy if vy > lx else lx, hx)
+        zl, zh = (lz, vy if vy < hz else hz) if z_below else (vy if vy > lz else lz, hz)
         if x_lowest:  # is the smallest x below the largest z?
-            i = bisect_right(between, xl)
-            r = bisect_left(after, zh) - 1
-            if i < len(between) and between[i] < xh and r >= 0 and after[r] > zl:
-                if between[i] < after[r]:
-                    return y
+            x = between.find(1, xl + 1, xh)
+            if 0 <= x < after.rfind(1, zl + 1, zh):
+                return y
         else:  # is the largest x above the smallest z?
-            i = bisect_left(between, xh) - 1
-            r = bisect_right(after, zl)
-            if i >= 0 and between[i] > xl and r < len(after) and after[r] < zh:
-                if between[i] > after[r]:
-                    return y
+            z = after.find(1, zl + 1, zh)
+            if 0 <= z < between.rfind(1, xl + 1, xh):
+                return y
     return None

@@ -355,8 +355,8 @@ MUTANTS = (
         # the skipped candidate may complete through a later value in between
         "baseline-dominance-ignores-values-between",
         "permstream/streaming/baseline.py",
-        "            if i and (not below or bisect_right(later, failed[i - 1]) == r):\n",
-        "            if i:\n",
+        "            if w >= 0 and (not below or later.find(1, w + 1, v) < 0):\n",
+        "            if w >= 0:\n",
         ("tests/test_baseline.py::test_pruned_prefix_slots_match_the_oracle[25314]",),
     ),
     Mutant(
@@ -364,14 +364,41 @@ MUTANTS = (
         "baseline-dead-sweep-exit-before-the-del",
         "permstream/streaming/baseline.py",
         "        if lz < vy < hz:\n"
-        "            del after[bisect_left(after, vy)]\n"
-        "            if not after:  # no z is left for this y or any later one\n"
+        "            after[vy] = 0\n"
+        "            left -= 1\n"
+        "            if not left:  # no z is left for this y or any later one\n"
         "                return None\n",
-        "        if not after:  # no z is left for this y or any later one\n"
+        "        if not left:  # no z is left for this y or any later one\n"
         "            return None\n"
         "        if lz < vy < hz:\n"
-        "            del after[bisect_left(after, vy)]\n",
+        "            after[vy] = 0\n"
+        "            left -= 1\n",
         ("tests/test_baseline.py::test_pruning_work_is_pinned_on_a_front4_instance",),
+    ),
+    Mutant(
+        # the least value is below the lower bound 0, so no slot without a
+        # prefix bound below it can take it
+        "baseline-ranks-start-at-0",
+        "permstream/streaming/baseline.py",
+        "        rank = {v: r for r, v in enumerate(sorted(values), 1)}\n",
+        "        rank = {v: r for r, v in enumerate(sorted(values))}\n",
+        ("tests/test_baseline.py::test_sparse_sequence_values_far_above_the_stream_length",),
+    ),
+    Mutant(
+        # byte 0 of the map after y, which stands for no value, is read as a z
+        "baseline-find-from-the-interval-bound",
+        "permstream/streaming/baseline.py",
+        "            z = after.find(1, zl + 1, zh)\n",
+        "            z = after.find(1, zl, zh)\n",
+        ("tests/test_baseline.py::test_the_sweep_returns_the_first_completing_y",),
+    ),
+    Mutant(
+        # the value at the sweep's start, a candidate x, is also taken as a z
+        "baseline-after-map-keeps-the-start",
+        "permstream/streaming/baseline.py",
+        "    for v in values[: p + 1]:\n",
+        "    for v in values[:p]:\n",
+        ("tests/test_baseline.py::test_the_sweep_returns_the_first_completing_y",),
     ),
     Mutant(
         # floats get through: "1.5" is read as a value

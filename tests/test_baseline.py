@@ -3,8 +3,9 @@
 The baseline decides containment with its own sweep matcher
 (`permstream.streaming.baseline.first_occurrence`); these tests compare its
 verdict and its occurrence, which must be the position-lexicographically
-first one, with `contains_bruteforce`, and pin the space telemetry the
-baseline reports and the work its pruning saves.  The last two tests check
+first one, with `contains_bruteforce`, check its sweep alone against a
+brute-force search, and pin the space telemetry the baseline reports and the
+work its pruning saves.  The last two tests check
 that the detector modules and the oracle import nothing from each other, so
 that these comparisons can fail.
 """
@@ -141,19 +142,95 @@ def test_pruned_prefix_slots_match_the_oracle(name):
 def test_pruning_work_is_pinned_on_a_front4_instance(monkeypatch):
     # The matcher's work on one disjoint 4231 instance, m = 32.  Without the
     # pruning of dominated start values it makes 29 sweeps; a sweep that runs on
-    # after its last z makes more sorted-list steps.  Change the numbers only
-    # with the matcher's work, and say why.
+    # after its last z makes more presence-map stores and scans.  Change the
+    # numbers only with the matcher's work, and say why.
     odd, even = set(range(1, 9, 2)), set(range(2, 9, 2))
     disj = gen_pi4_front(parse_pattern("4231"), 8, odd, even)
     counts = Counter()
-    for name in ("_sweep", "bisect_left", "bisect_right", "insort"):
-        def counted(*args, _fn=getattr(baseline_module, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
 
-        monkeypatch.setattr(baseline_module, name, counted)
+    class Counted(bytearray):
+        """A presence map that counts its stores and its scans."""
+
+        def __setitem__(self, i, v):
+            counts["store"] += 1
+            super().__setitem__(i, v)
+
+        def find(self, *args):
+            counts["find"] += 1
+            return super().find(*args)
+
+        def rfind(self, *args):
+            counts["rfind"] += 1
+            return super().rfind(*args)
+
+        def count(self, *args):
+            counts["count"] += 1
+            return super().count(*args)
+
+    def counted(*args, _fn=baseline_module._sweep):
+        counts["_sweep"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(baseline_module, "bytearray", Counted, raising=False)
+    monkeypatch.setattr(baseline_module, "_sweep", counted)
     assert first_occurrence(disj.stream.elements, disj.pattern.values) is None
-    assert counts == {"_sweep": 12, "insort": 92, "bisect_left": 256, "bisect_right": 120}
+    assert counts == {"_sweep": 12, "store": 438, "count": 12, "find": 137, "rfind": 50}
+
+
+def first_completing_y(values, start, x_stop, slots, bounds):
+    """What the sweep returns, by brute force over every x, y and z."""
+    order = sorted(range(3), key=slots.__getitem__)
+    m = len(values)
+    for y in range(start + 1, m):
+        for x in range(start, min(y, x_stop)):
+            for z in range(y + 1, m):
+                got = (values[x], values[y], values[z])
+                if sorted(range(3), key=got.__getitem__) == order and all(
+                    lo < v < hi for v, (lo, hi) in zip(got, bounds)
+                ):
+                    return y
+    return None
+
+
+def test_the_sweep_returns_the_first_completing_y():
+    # the sweep alone, on ranks: with the whole value range open to every slot,
+    # then with random intervals such as a prefix leaves
+    def check(tau, start, x_stop, slots, bounds):
+        got = baseline_module._sweep(tau, start, x_stop, slots, bounds)
+        assert got == first_completing_y(tau, start, x_stop, slots, bounds), (
+            tau, start, x_stop, slots, bounds,
+        )
+
+    for n in range(3, 6):
+        for tau in permutations(range(1, n + 1)):
+            for slots in permutations((1, 2, 3)):
+                for start in range(n - 2):
+                    for x_stop in (start + 1, n):
+                        check(tau, start, x_stop, slots, [(0, n + 1)] * 3)
+    rng = random.Random(76)
+    for _ in range(3000):
+        n = rng.randint(3, 10)
+        tau = random_perm(n, rng)
+        bounds = [tuple(sorted(rng.sample(range(n + 2), 2))) for _ in range(3)]
+        start = rng.randrange(n - 2)
+        x_stop = rng.choice((start + 1, rng.randint(start + 1, n)))
+        check(tau, start, x_stop, rng.sample((1, 2, 3), 3), bounds)
+
+
+def test_sparse_sequence_values_far_above_the_stream_length():
+    # values near 10^12 in a universe of 10^15: a map sized from the values or
+    # from n, not from the m buffered ones, would not fit in memory
+    rng = random.Random(75)
+    patterns = all_patterns(3, 4) + [
+        parse_pattern(p) for p in ("14253", "25314", "41352", "35142", "54123")
+    ]
+    verdicts = set()
+    for _ in range(40):
+        values = rng.sample(range(10**12, 10**12 + 10**9), rng.randint(3, 12))
+        inst = seq_instance(tuple(values), 10**15)
+        for pattern in patterns:
+            verdicts.add(assert_matches_oracle(inst, pattern))
+    assert verdicts == {True, False}
 
 
 # -- every hardgen construction, intersecting and disjoint --------------------------
@@ -171,7 +248,7 @@ def construction_instances(n_sets: int):
             yield name, gen_3142_2143(parse_pattern(name), n_sets, s, t)
 
 
-@pytest.mark.parametrize("n_sets", [4, 8])
+@pytest.mark.parametrize("n_sets", [4, 8, 12])  # 12: the benchmark's check size
 def test_hardgen_constructions_match_the_oracle(n_sets):
     seen = set()
     for name, disj in construction_instances(n_sets):
