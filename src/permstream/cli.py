@@ -25,9 +25,9 @@ from typing import Iterator, Sequence
 
 from .core import (
     Pattern,
+    StreamInstance,
     StreamMode,
     StreamValidator,
-    checked_instance,
     iter_stream_text,
     parse_int,
     parse_pattern,
@@ -84,11 +84,6 @@ def _stream_chunks(args: argparse.Namespace) -> Iterator:
             raise UsageError(f"bad --values: {exc}") from exc
         return iter([(args.n, StreamMode.from_token(args.mode)), values])
     raise UsageError("a stream is required: --input FILE or --values CSV --n N")
-
-
-def _require_valid(reason: str | None) -> None:
-    if reason is not None:
-        raise UsageError(f"invalid stream: {reason}")
 
 
 def _parse_pattern_arg(text: str) -> Pattern:
@@ -153,20 +148,20 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if feed is not None and check.error is None and feed(values):
             accepted_at = detector.pushes
             feed = None
-    _require_valid(check.violation())
+    reason = check.violation()
+    if reason is not None:
+        raise UsageError(f"invalid stream: {reason}")
     if unusable is not None:
         raise unusable
     for w in dispatch_warnings:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep = detector.finish()
 
-    agree = None
-    oracle_verdict = None
+    agree = oracle_verdict = None
     if kept is not None:
         from .oracle import contains_bruteforce
 
-        inst = checked_instance(check, tuple(kept))  # validated above: not scanned again
-        oracle_verdict = contains_bruteforce(inst, pattern) is not None
+        oracle_verdict = contains_bruteforce(StreamInstance(n, mode, kept), pattern) is not None
         agree = oracle_verdict == rep.verdict
 
     human = [

@@ -105,6 +105,9 @@ class Pattern(Frozen):
         k = len(values)
         if k == 0:
             raise ValueError("pattern must have at least one value")
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"pattern values must be ints, got {v!r}")
         if sorted(values) != list(range(1, k + 1)):
             raise ValueError(f"pattern {values} is not a permutation of 1..{k}")
         object.__setattr__(self, "values", values)
@@ -146,55 +149,31 @@ def parse_pattern(text: str) -> Pattern:
 class StreamInstance(Frozen):
     """A concrete stream: universe size, mode, and the values in order.
 
-    The constructor is permissive so that malformed candidate streams can be
-    represented and then rejected; use :func:`stream_violation` /
-    :func:`require_valid_stream` before trusting an instance.  It is checked
-    once, on the first such call, and keeps its verdict outside eq and hash.
+    The constructor keeps the values as a tuple and checks the mode's promise:
+    a malformed stream raises ValueError ``invalid stream: <reason>``, with
+    the reason :func:`stream_violation` gives.  So every instance is valid.
+
+    >>> StreamInstance(3, StreamMode.PERMUTATION, (3, 1, 3))
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid stream: duplicate value 3 at position 3
     """
 
-    __slots__ = ("n", "mode", "elements", "_verdict")
-    _fields = ("n", "mode", "elements")
+    __slots__ = _fields = ("n", "mode", "elements")
     n: int
     mode: StreamMode
     elements: tuple[int, ...]
 
-    def __init__(self, n: int, mode: StreamMode, elements: tuple[int, ...]) -> None:
+    def __init__(self, n: int, mode: StreamMode, elements: Sequence[int]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", tuple(elements))
+        reason = stream_violation(self)
+        if reason is not None:
+            raise ValueError(f"invalid stream: {reason}")
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def _violation(self) -> str | None:
-        try:
-            return self._verdict
-        except AttributeError:
-            pass
-        check = StreamValidator(self.n, self.mode)
-        elements = self.elements
-        for pos, value in enumerate(elements):
-            if not isinstance(value, int) or isinstance(value, bool):
-                check.feed(elements[:pos])
-                check.error = check.error or f"non-integer value {value!r} at position {pos + 1}"
-                break
-        else:
-            check.feed(elements)
-        check.count = len(elements)
-        verdict = check.violation()
-        object.__setattr__(self, "_verdict", verdict)
-        return verdict
-
-
-def checked_instance(check: StreamValidator, elements: tuple[int, ...]) -> StreamInstance:
-    """The instance of the ``elements`` that ``check`` was fed, with its verdict.
-
-    The values are not scanned again: the validator has seen each of them.
-    """
-    inst = StreamInstance(check.n, check.mode, elements)
-    object.__setattr__(inst, "_verdict", check.violation())
-    return inst
 
 
 #: the guard's bytearray takes each value up to the floor, and a larger one while
@@ -292,14 +271,23 @@ class StreamValidator:
 
 
 def stream_violation(inst: StreamInstance) -> str | None:
-    """Return a human-readable reason the instance is malformed, or None."""
-    return inst._violation
+    """A human-readable reason the instance's fields break its mode's promise, or None.
 
-
-def require_valid_stream(inst: StreamInstance) -> None:
-    """Raise ValueError with the reason when the instance is malformed."""
-    if inst._violation is not None:
-        raise ValueError(f"invalid stream: {inst._violation}")
+    The reasons come in :class:`StreamValidator`'s order, with the first value
+    that is not an int (a bool is not) among the value errors.  The
+    constructor raises with this reason, so on a built instance it is None.
+    """
+    check = StreamValidator(inst.n, inst.mode)
+    elements = inst.elements
+    for pos, value in enumerate(elements):
+        if not isinstance(value, int) or isinstance(value, bool):
+            check.feed(elements[:pos])
+            check.error = check.error or f"non-integer value {value!r} at position {pos + 1}"
+            break
+    else:
+        check.feed(elements)
+    check.count = len(elements)
+    return check.violation()
 
 
 class Occurrence(Frozen):
@@ -551,7 +539,10 @@ def iter_stream_text(fh: TextIO) -> Iterator:
 
 
 def collect_stream(chunks: Iterator) -> StreamInstance:
-    """The instance that :func:`iter_stream_text`'s header and values describe."""
+    """The instance that :func:`iter_stream_text`'s header and values describe.
+
+    Raises ValueError on a malformed stream, as the constructor does.
+    """
     n, mode = next(chunks)
     elements: list[int] = []
     for values in chunks:

@@ -26,16 +26,15 @@ from .core import (
     StreamInstance,
     StreamMode,
     is_order_isomorphic,
-    require_valid_stream,
 )
 
 
 def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, ...]]:
     """Yield the 0-based index tuple of every occurrence of ``pattern``.
 
-    The caller has validated ``inst``.  The search fills pattern slots left to
-    right and tries each slot's positions in increasing order, so the tuples
-    come out in lexicographic order.  The values chosen for slots 0..d-1 are
+    ``inst`` is valid by construction.  The search fills pattern slots left
+    to right and tries each slot's positions in increasing order, so the
+    tuples come out in lexicographic order.  The values chosen for slots 0..d-1 are
     order-isomorphic to the pattern's first d values, so the values slot d may
     take form one open interval (lo, hi), fixed once slot d - 1 is chosen: lo
     is the largest chosen value the pattern puts below slot d (0 if none), hi
@@ -108,7 +107,6 @@ def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | 
     Position tuples are compared left to right; this is the first tuple the
     shared search yields.
     """
-    require_valid_stream(inst)
     first = next(_occurrences(inst, pattern), None)
     if first is None:
         return None
@@ -124,7 +122,6 @@ def count_occurrences(inst: StreamInstance, pattern: Pattern) -> int:
     Enumerates every occurrence through the same search, so the cost grows
     like C(len(stream), len(pattern)); keep inputs desk-scale.
     """
-    require_valid_stream(inst)
     return sum(1 for _ in _occurrences(inst, pattern))
 
 
@@ -158,7 +155,8 @@ def occurrence_is_valid(
 class SplitInput(Frozen):
     """A stream cut in two: Alice holds the prefix, Bob the suffix.
 
-    Together the halves must form a permutation of [1..n].
+    Together the halves must form a permutation of [1..n]: the constructor
+    raises the ValueError of :class:`StreamInstance` on the two joined.
     """
 
     __slots__ = _fields = ("n", "prefix", "suffix")
@@ -167,7 +165,7 @@ class SplitInput(Frozen):
     suffix: tuple[int, ...]
 
     def __init__(self, n: int, prefix: tuple[int, ...], suffix: tuple[int, ...]) -> None:
-        require_valid_stream(StreamInstance(n, StreamMode.PERMUTATION, prefix + suffix))
+        StreamInstance(n, StreamMode.PERMUTATION, prefix + suffix)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "suffix", suffix)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, NamedTuple
 
-from ..core import Pattern, StreamInstance, StreamMode, require_valid_stream
+from ..core import Pattern, StreamInstance, StreamMode
 from .base import Detector, DetectorReport
 
 # Each builder imports its detector's module on its first call, so a process
@@ -164,14 +164,12 @@ def _build(fam: Family, key: str, pattern: Pattern, n: int, mode: StreamMode) ->
 def run_detector(
     inst: StreamInstance, pattern: Pattern, detector: Detector | None = None
 ) -> DetectorReport:
-    """Validate the stream, feed it to the detector, and return the report.
+    """Feed the stream to the detector and return the report.
 
-    The instance keeps its verdict (it is scanned at most once), so the
-    values go in through ``Detector._feed`` in one batch and the detector
-    allocates no duplicate guard of its own.  Feeding stops at the accept
-    (the streaming early exit).
+    An instance is valid by construction, so the values go in through
+    ``Detector._feed`` in one batch and the detector allocates no duplicate
+    guard of its own.  Feeding stops at the accept (the streaming early exit).
     """
-    require_valid_stream(inst)
     if detector is None:
         detector = new_detector(pattern, inst.n, inst.mode)
     detector._feed(inst.elements)

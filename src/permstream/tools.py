@@ -7,8 +7,9 @@ generators it imports.  The parser, the exit codes and the shared plumbing
 
 ``fuzz`` runs one kind of trial: the detector and the oracle against the
 expected verdict, which is the oracle's for a random or enumerated
-permutation, and ``intersecting`` for a construction on given subsets.  Its
-first disagreement goes to a replay file that ``detect --check`` re-runs.
+permutation, and ``intersecting`` for a construction on given subsets, and
+any witness the detector reports against the stream.  Its first
+disagreement goes to a replay file that ``detect --check`` re-runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .cli import (
     _file_chunks,
     _occurrence_json,
     _parse_pattern_arg,
-    _require_valid,
     _stream_chunks,
 )
 from .core import (
@@ -41,7 +41,6 @@ from .core import (
     format_stream_text,
     parse_int,
     parse_pattern,
-    stream_violation,
 )
 from .hardgen import (
     DisjInstance,
@@ -53,7 +52,13 @@ from .hardgen import (
     gen_seq312,
     random_subsets,
 )
-from .oracle import SplitInput, contains_bruteforce, count_occurrences, split_protocol
+from .oracle import (
+    SplitInput,
+    contains_bruteforce,
+    count_occurrences,
+    occurrence_is_valid,
+    split_protocol,
+)
 from .streaming.base import bits_per_cell
 from .streaming.dispatch import new_detector, run_detector
 
@@ -61,9 +66,10 @@ _TRIAL_BATCH = 1024  # trials a parallel fuzz run holds at once
 
 
 def _checked_stream(chunks: Iterator) -> StreamInstance:
-    inst = collect_stream(chunks)
-    _require_valid(stream_violation(inst))
-    return inst
+    try:
+        return collect_stream(chunks)
+    except ValueError as exc:  # a malformed stream
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,9 @@ def _trial(payload: tuple[int, str | None, tuple]) -> dict | None:
 
     ``payload`` is ``(trial, None, (pattern text, permutation))``, where the
     oracle's verdict is expected, or ``(trial, construction, (nsets, S, T))``,
-    where ``intersecting`` is.  Returns the record of a miss, or None.
+    where ``intersecting`` is.  A witness the detector reports must pass
+    :func:`occurrence_is_valid`; the record of one that fails holds it as
+    ``invalid_occurrence``.  Returns the record of a miss, or None.
     """
     trial, construction, spec = payload
     if construction is None:
@@ -299,19 +307,25 @@ def _trial(payload: tuple[int, str | None, tuple]) -> dict | None:
         sets = {"s": sorted(disj.s), "t": sorted(disj.t), "intersecting": disj.intersecting}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        detector_verdict = run_detector(stream, pattern).verdict
+        report = run_detector(stream, pattern)
     oracle_verdict = contains_bruteforce(stream, pattern) is not None
-    if detector_verdict == oracle_verdict == sets.get("intersecting", oracle_verdict):
+    occ = report.occurrence
+    witness_holds = occ is None or occurrence_is_valid(stream, pattern, occ)
+    expected = sets.get("intersecting", oracle_verdict)
+    if witness_holds and report.verdict == oracle_verdict == expected:
         return None
-    return {
+    record = {
         "trial": trial,
         "stream": list(stream.elements),
         "n": stream.n,
         "mode": stream.mode.value,
-        "detector": detector_verdict,
+        "detector": report.verdict,
         "oracle": oracle_verdict,
         **sets,
     }
+    if not witness_holds:
+        record["invalid_occurrence"] = _occurrence_json(occ)
+    return record
 
 
 def _write_replay(args: argparse.Namespace, record: dict, pattern: Pattern) -> str:
@@ -324,6 +338,8 @@ def _write_replay(args: argparse.Namespace, record: dict, pattern: Pattern) -> s
     ]
     if "s" in record:
         comments.insert(1, f"construction sets S={record['s']} T={record['t']}")
+    if "invalid_occurrence" in record:
+        comments.insert(-1, f"invalid detector witness {record['invalid_occurrence']}")
     name = f"permstream-replay-{args.seed}-{record['trial']}.txt"
     path = os.path.join(args.replay_dir or ".", name)
     _write(path, format_stream_text(inst, comments=comments), make_dir=True)

@@ -349,7 +349,8 @@ MUTANTS = (
         "permstream/streaming/baseline.py",
         "    return any(b < at for b in bounded), any(b > at for b in bounded)\n",
         "    return any(b > at for b in bounded), any(b < at for b in bounded)\n",
-        ("tests/test_baseline.py::test_pruned_prefix_slots_match_the_oracle[15234]",),
+        ("tests/test_baseline.py::test_every_skipped_candidate_is_dominated_by_a_failed_one",
+         "tests/test_baseline.py::test_pruned_prefix_slots_match_the_oracle[15234]"),
     ),
     Mutant(
         # the skipped candidate may complete through a later value in between
@@ -399,6 +400,30 @@ MUTANTS = (
         "    for v in values[: p + 1]:\n",
         "    for v in values[:p]:\n",
         ("tests/test_baseline.py::test_the_sweep_returns_the_first_completing_y",),
+    ),
+    Mutant(
+        # a malformed stream is built: parse_stream_text returns it
+        "stream-instance-never-raises",
+        "permstream/core.py",
+        "        reason = stream_violation(self)\n"
+        "        if reason is not None:\n"
+        "            raise ValueError(f\"invalid stream: {reason}\")\n",
+        "        stream_violation(self)\n",
+        ("tests/test_stream_input.py::test_tokenizer_matches_the_reference_parser_at_every_chunk_size",),
+    ),
+    Mutant(
+        # True and False pass the guard as 1 and 0: (True,) is a permutation of [1..1]
+        "stream-violation-without-the-type-scan",
+        "permstream/core.py",
+        "    for pos, value in enumerate(elements):\n"
+        "        if not isinstance(value, int) or isinstance(value, bool):\n"
+        "            check.feed(elements[:pos])\n"
+        "            check.error = check.error or f\"non-integer value {value!r} at position {pos + 1}\"\n"
+        "            break\n"
+        "    else:\n"
+        "        check.feed(elements)\n",
+        "    check.feed(elements)\n",
+        ("tests/test_stream_input.py::test_a_bool_is_not_a_stream_value",),
     ),
     Mutant(
         # floats get through: "1.5" is read as a value

@@ -17,7 +17,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -175,6 +175,53 @@ def test_pruning_work_is_pinned_on_a_front4_instance(monkeypatch):
     monkeypatch.setattr(baseline_module, "_sweep", counted)
     assert first_occurrence(disj.stream.elements, disj.pattern.values) is None
     assert counts == {"_sweep": 12, "store": 438, "count": 12, "find": 137, "rfind": 50}
+
+
+def completes_at(values, pattern, p) -> bool:
+    """Whether slot 0 of ``pattern`` at position ``p`` completes, by brute force."""
+    order = sorted(range(len(pattern)), key=pattern.__getitem__)
+    for rest in combinations(range(p + 1, len(values)), len(pattern) - 1):
+        got = [values[i] for i in (p, *rest)]
+        if sorted(range(len(got)), key=got.__getitem__) == order:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_every_skipped_candidate_is_dominated_by_a_failed_one(k):
+    # _undominated at slot 0, resumed only after a candidate that fails
+    # completes_at.  Each candidate it skips must be dominated, by the rule of
+    # its docstring computed here: a failed value w at an earlier position
+    # with w > v, where no later slot lies above slot 0 or no value after p
+    # lies between v and w, or likewise with w < v and below.
+    skipped = 0
+    for n in range(k, 7):
+        for values in permutations(range(1, n + 1)):
+            for pattern in permutations(range(1, k + 1)):
+                below, above = min(pattern[1:]) < pattern[0], max(pattern[1:]) > pattern[0]
+                sides = baseline_module._sides(pattern[0], pattern[1:])
+                stop = n - k + 1
+                yielded, failed = [], []
+                for p in baseline_module._undominated(values, 0, stop, 0, n + 1, sides):
+                    yielded.append(p)
+                    if completes_at(values, pattern, p):
+                        stop = p
+                        break
+                    failed.append(p)
+                for p in set(range(stop)) - set(yielded):
+                    skipped += 1
+                    v, after = values[p], values[p + 1 :]
+
+                    def dominates(w, side_bounded):
+                        lo, hi = min(v, w), max(v, w)
+                        return not side_bounded or not any(lo < u < hi for u in after)
+
+                    assert any(
+                        dominates(values[q], above if values[q] > v else below)
+                        for q in failed if q < p
+                    ), (values, pattern, p, yielded)
+                    assert not completes_at(values, pattern, p), (values, pattern, p)
+    assert skipped > 1000  # the pruning was reached
 
 
 def first_completing_y(values, start, x_stop, slots, bounds):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from permstream import gen_monotone_lb, new_detector, parse_pattern, parse_stream_text
+from permstream import Occurrence, gen_monotone_lb, new_detector, parse_pattern, parse_stream_text
 from permstream import cli, core, tools
 from permstream.streaming import Detector, Detector312, MonotoneDetector
 from permstream.cli import build_parser, main
@@ -46,7 +46,8 @@ def test_detect_inline_values(capsys):
 
 @pytest.mark.parametrize("pattern, values", [("312", "3,1,2,4"), ("213", "1,3,2,4")])
 def test_an_instance_is_scanned_once(pattern, values, monkeypatch, capsys):
-    # detect --check hands the oracle the verdict of its own streamed check
+    # detect --check checks the stream as it reads it, and the instance it
+    # hands the oracle checks the values it keeps; the oracle checks nothing
     built = []
     init = core.StreamValidator.__init__
 
@@ -58,7 +59,7 @@ def test_an_instance_is_scanned_once(pattern, values, monkeypatch, capsys):
     argv = ("detect", "--pattern", pattern, "--values", values, "--n", "4", "--check")
     assert run_cli(*argv) == 0
     assert "oracle cross-check: agree" in capsys.readouterr().out
-    assert built == [4]
+    assert built == [4, 4]
 
 
 def test_detect_reports_avoidance(capsys):
@@ -388,6 +389,33 @@ def test_fuzz_reports_and_replays_the_first_disagreement(
         assert "oracle cross-check: DISAGREE" in capsys.readouterr().out
     assert run_cli("detect", "--pattern", pattern, "--input", path, "--check") == 0
     assert "oracle cross-check: agree" in capsys.readouterr().out
+
+
+def test_fuzz_reports_an_invalid_witness(tmp_path, monkeypatch, capsys):
+    # the verdicts agree, but each witness has its values reversed
+    finish = Detector.finish
+
+    def reversed_witness(self):
+        report = finish(self)
+        occ = report.occurrence
+        return report if occ is None else report._replace(
+            occurrence=Occurrence(positions=occ.positions, values=occ.values[::-1]))
+
+    monkeypatch.setattr(Detector, "finish", reversed_witness)
+    argv = ["fuzz", "--pattern", "312", "--n", "5", "--exhaustive", "--replay-dir", str(tmp_path)]
+    assert run_cli(*argv, "--json") == 1
+    rep = json_out(capsys)
+    assert rep["trials"] == 5  # 1 2 5 3 4 is the first to contain 312
+    witness = rep["disagreement"].pop("invalid_occurrence")
+    assert rep["disagreement"] == {
+        "trial": 4, "stream": [1, 2, 5, 3, 4], "n": 5, "mode": "perm",
+        "detector": True, "oracle": True,
+    }
+    # 5 and 3 read, and a 4 still to come: its values reversed
+    assert witness == {"positions": [3, 4, "future"], "values": [4, 3, 5]}
+    text = open(rep["replay_file"]).read()
+    assert parse_stream_text(text).elements == (1, 2, 5, 3, 4)
+    assert f"invalid detector witness {witness}" in text
 
 
 def test_an_unwritable_file_exits_2(tmp_path, monkeypatch, capsys):

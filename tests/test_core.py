@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,13 +87,16 @@ def test_stream_violation_accepts_distinct_subsequence():
     assert stream_violation(seq_instance((3, 1, 9), n=12)) is None
 
 
-def test_stream_violation_reasons():
-    assert stream_violation(
-        StreamInstance(n=3, mode=StreamMode.PERMUTATION, elements=(1, 2))
-    ) is not None
-    assert "duplicate" in stream_violation(perm_instance((1, 1, 2)))
-    assert "range" in stream_violation(seq_instance((5,), n=4))
-    assert stream_violation(StreamInstance(n=0, mode=StreamMode.PERMUTATION, elements=()))
+@pytest.mark.parametrize("n, mode, elements, reason", [
+    (3, StreamMode.PERMUTATION, (1, 2), "permutation mode requires exactly n=3 values, got 2"),
+    (3, StreamMode.PERMUTATION, (1, 1, 2), "duplicate value 1 at position 2"),
+    (4, StreamMode.DISTINCT_SEQUENCE, (5,), "value 5 out of range [1, 4] at position 1"),
+    (0, StreamMode.PERMUTATION, (), "universe size must be at least 1, got n=0"),
+])
+def test_stream_violation_reasons(n, mode, elements, reason):
+    # the constructor refuses a malformed stream with stream_violation's reason
+    with pytest.raises(ValueError, match=f"^invalid stream: {re.escape(reason)}$"):
+        StreamInstance(n=n, mode=mode, elements=elements)
 
 
 def test_stream_mode_from_token():

@@ -263,9 +263,9 @@ def test_latched_push_checks_finished_int_and_range_but_not_duplicates():
 
 
 def test_run_detector_validates_stream():
-    bad = perm_instance((1, 1, 2))
+    # a malformed stream never reaches run_detector: its instance cannot be built
     with pytest.raises(ValueError, match="duplicate"):
-        run_detector(bad, parse_pattern("12"))
+        run_detector(perm_instance((1, 1, 2)), parse_pattern("12"))
 
 
 def test_run_detector_round_trip():

@@ -3,9 +3,10 @@ single pass `permstream detect` makes over them.
 
 The references are the whole-text parser and the set-based validator that
 the streamed ones replaced, kept here verbatim apart from the parser's token
-grammar (ASCII digits with an optional leading "-", where it used int());
-the streamed versions must agree with them on every input and at every
-chunk size.  The CLI tests
+grammar (ASCII digits with an optional leading "-", where it used int()) and
+the validator's arguments (the fields, not an instance, since a malformed
+instance cannot be built); the streamed versions must agree with them on
+every input and at every chunk size.  The CLI tests
 compare `detect` with `parse_stream_text` + `run_detector` on the same text.
 """
 
@@ -76,20 +77,23 @@ def reference_parse(text: str) -> StreamInstance:
         elements = tuple(reference_int(tok) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"non-integer stream value: {exc}") from None
+    error = reference_error(n, mode, elements)
+    if error is not None:
+        raise ValueError(error)
     return StreamInstance(n=n, mode=mode, elements=elements)
 
 
-def reference_violation(inst: StreamInstance) -> str | None:
-    if inst.n < 1:
-        return f"universe size must be at least 1, got n={inst.n}"
-    if inst.mode is StreamMode.PERMUTATION and len(inst.elements) != inst.n:
-        return f"permutation mode requires exactly n={inst.n} values, got {len(inst.elements)}"
+def reference_violation(n: int, mode: StreamMode, elements: tuple) -> str | None:
+    if n < 1:
+        return f"universe size must be at least 1, got n={n}"
+    if mode is StreamMode.PERMUTATION and len(elements) != n:
+        return f"permutation mode requires exactly n={n} values, got {len(elements)}"
     seen: set[int] = set()
-    for pos, value in enumerate(inst.elements, start=1):
+    for pos, value in enumerate(elements, start=1):
         if not isinstance(value, int) or isinstance(value, bool):
             return f"non-integer value {value!r} at position {pos}"
-        if not 1 <= value <= inst.n:
-            return f"value {value} out of range [1, {inst.n}] at position {pos}"
+        if not 1 <= value <= n:
+            return f"value {value} out of range [1, {n}] at position {pos}"
         if value in seen:
             return f"duplicate value {value} at position {pos}"
         seen.add(value)
@@ -116,14 +120,24 @@ def chunked_parse(text: str) -> StreamInstance:
 
 
 def expected_error(text: str) -> str:
-    """What `parse_stream_text` and `stream_violation` say about a bad text."""
+    """What `parse_stream_text` says about a bad text."""
+    with pytest.raises(ValueError) as exc:
+        parse_stream_text(text)
+    return str(exc.value)
+
+
+def construction_error(n: int, mode: StreamMode, elements: tuple) -> str | None:
+    """What `StreamInstance` says about the fields: its ValueError's text, or None."""
     try:
-        inst = parse_stream_text(text)
+        StreamInstance(n, mode, elements)
     except ValueError as exc:
         return str(exc)
-    reason = stream_violation(inst)
-    assert reason is not None, "the text was meant to be malformed"
-    return f"invalid stream: {reason}"
+    return None
+
+
+def reference_error(n: int, mode: StreamMode, elements: tuple) -> str | None:
+    reason = reference_violation(n, mode, elements)
+    return None if reason is None else f"invalid stream: {reason}"
 
 
 # -- the tokenizer --------------------------------------------------------------
@@ -267,7 +281,7 @@ def test_validator_matches_the_reference_in_any_chunking():
         n = rng.randint(-1, 7)
         mode = rng.choice(list(StreamMode))
         elements = tuple(rng.randint(-1, 9) for _ in range(rng.randint(0, 9)))
-        want = reference_violation(StreamInstance(n, mode, elements))
+        want = reference_violation(n, mode, elements)
         check = StreamValidator(n, mode)
         start = 0
         while start < len(elements):
@@ -289,7 +303,7 @@ def test_validator_holds_far_values_in_a_set(monkeypatch):
         for _ in range(rng.randint(0, 2)):  # a duplicate, or a value out of range
             bad = rng.choice(elements) if elements and rng.random() < 0.8 else n + 1
             elements.insert(rng.randint(0, len(elements)), bad)
-        want = reference_violation(StreamInstance(n, StreamMode.DISTINCT_SEQUENCE, tuple(elements)))
+        want = reference_violation(n, StreamMode.DISTINCT_SEQUENCE, elements)
         check = StreamValidator(n, StreamMode.DISTINCT_SEQUENCE)
         start = 0
         while start < len(elements):
@@ -329,25 +343,22 @@ def test_an_instance_is_scanned_once(monkeypatch):
 
     monkeypatch.setattr(core, "StreamValidator", CountingValidator)
     pattern = parse_pattern("312")
-    inst = StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 5, 2, 6, 4))
-    assert stream_violation(inst) is None
+    values = (3, 1, 5, 2, 6, 4)
+    inst = StreamInstance(6, StreamMode.PERMUTATION, values)
+    assert built == [(6, StreamMode.PERMUTATION)]  # by the constructor
+    assert inst.elements is values  # a tuple is kept, not copied
+    # the entry points trust a built instance: none of them scans it again
     assert run_detector(inst, pattern).verdict
     assert contains_bruteforce(inst, pattern) is not None
     assert count_occurrences(inst, pattern) == 2
     assert len(built) == 1
-    bad = StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 3))
-    for _ in range(2):
-        for call in (run_detector, contains_bruteforce, count_occurrences):
-            with pytest.raises(ValueError, match="^invalid stream: permutation mode requires"):
-                call(bad, pattern)
-    assert len(built) == 2
-    assert bad == StreamInstance(6, StreamMode.PERMUTATION, (3, 1, 3))  # the verdict is not a field
 
 
 @pytest.mark.parametrize("n", [4 * 10**9, 10**15, 10**20])
 def test_validator_guard_follows_the_values_not_the_header(n):
-    perm = StreamInstance(n, StreamMode.PERMUTATION, (3, 1, 2))
-    assert stream_violation(perm) == f"permutation mode requires exactly n={n} values, got 3"
+    assert construction_error(n, StreamMode.PERMUTATION, (3, 1, 2)) == (
+        f"invalid stream: permutation mode requires exactly n={n} values, got 3"
+    )
     assert stream_violation(StreamInstance(n, StreamMode.DISTINCT_SEQUENCE, (3, 1, 2))) is None
     check = StreamValidator(n, StreamMode.DISTINCT_SEQUENCE)
     check.feed([5, 1000, 5])
@@ -364,8 +375,17 @@ def test_stream_violation_keeps_its_non_integer_check():
             rng.choice(odd) if rng.random() < 0.2 else rng.randint(-1, 8)
             for _ in range(rng.randint(0, 8))
         )
-        inst = StreamInstance(n, mode, elements)
-        assert stream_violation(inst) == reference_violation(inst)
+        assert construction_error(n, mode, elements) == reference_error(n, mode, elements)
+
+
+@pytest.mark.parametrize("n, mode, elements", [
+    (1, StreamMode.PERMUTATION, (True,)),
+    (3, StreamMode.PERMUTATION, (2, False, 1)),
+    (4, StreamMode.DISTINCT_SEQUENCE, (1, True)),
+])
+def test_a_bool_is_not_a_stream_value(n, mode, elements):
+    # True and False compare as 1 and 0, so only the type scan refuses them
+    assert construction_error(n, mode, elements) == reference_error(n, mode, elements)
 
 
 # -- detect: streamed output equals parse_stream_text + run_detector -------------

@@ -18,7 +18,6 @@ from permstream import (
     Pattern,
     StreamInstance,
     StreamMode,
-    stream_violation,
 )
 
 
@@ -63,11 +62,12 @@ def test_report_equality_follows_its_fields():
         hash(a)  # its structure_peaks dict is unhashable
 
 
-def test_a_checked_instance_equals_an_unchecked_one():
-    checked = StreamInstance(n=3, mode=StreamMode.PERMUTATION, elements=(3, 1, 2))
-    assert stream_violation(checked) is None
-    fresh = StreamInstance(n=3, mode=StreamMode.PERMUTATION, elements=(3, 1, 2))
-    assert checked == fresh and hash(checked) == hash(fresh)
+def test_an_instance_keeps_its_values_as_a_tuple():
+    from_list = StreamInstance(n=3, mode=StreamMode.PERMUTATION, elements=[3, 1, 2])
+    values = (3, 1, 2)
+    from_tuple = StreamInstance(n=3, mode=StreamMode.PERMUTATION, elements=values)
+    assert from_list.elements == values and from_tuple.elements is values
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
 
 
 @pytest.mark.parametrize("obj, field", [
@@ -90,6 +90,8 @@ def test_fields_cannot_be_assigned(obj, field):
     ((), "pattern must have at least one value"),
     ((1, 3), r"pattern \(1, 3\) is not a permutation of 1..2"),
     ([2, 2], r"pattern \(2, 2\) is not a permutation of 1..2"),
+    ((True,), "pattern values must be ints, got True"),
+    ((2.0, 1), r"pattern values must be ints, got 2.0"),
 ])
 def test_pattern_constructor_errors(values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
