@@ -180,6 +180,9 @@ class StreamInstance(Frozen):
 #: that costs at most this many bytes per value read, about a set entry's cost
 DENSE_FLOOR = 1 << 20
 DENSE_BYTES_PER_VALUE = 64
+#: bytes compared at a time by :meth:`StreamValidator.holds_all_but`
+MAP_SLICE = 1 << 16
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class StreamValidator:
@@ -268,6 +271,28 @@ class StreamValidator:
                 f"got {self.count}"
             )
         return self.error
+
+    def mark_held(self, out) -> None:
+        """Set byte v of ``out``, a zeroed map of n + 1 bytes, to 1 for each value v held."""
+        out[: len(self._guard)] = self._guard
+        for value in self._far:
+            out[value] = 1
+
+    def holds_all_but(self, held) -> bool:
+        """Whether ``held``, a map as :meth:`mark_held` writes, marks exactly the
+        values of [1, n] this validator does not hold.
+
+        Compared in C, :data:`MAP_SLICE` bytes at a time, so no copy is larger
+        than a slice.  A validator holding values in its set says False.
+        """
+        if self._far:
+            return False
+        guard, end = self._guard, self.n + 1
+        for start in range(1, end, MAP_SLICE):
+            stop = min(start + MAP_SLICE, end)
+            if guard[start:stop].ljust(stop - start, b"\0").translate(_FLIP) != held[start:stop]:
+                return False
+        return True
 
 
 def stream_violation(inst: StreamInstance) -> str | None:
@@ -433,11 +458,14 @@ def _parse_header(line: str) -> tuple[int, StreamMode]:
     return n, StreamMode.from_token(parts[1][5:])
 
 
-def iter_stream_text(fh: TextIO) -> Iterator:
+def iter_stream_text(fh: TextIO, header: tuple[int, StreamMode] | None = None) -> Iterator:
     """Tokenize the stream file format from ``fh``, :data:`READ_CHARS` at a time.
 
     Yields the header as ``(n, mode)`` first, then the stream values as
-    non-empty lists of ints, at most one list per chunk read.  Until the
+    non-empty lists of ints, at most one list per chunk read.  Given
+    ``header``, the text is the rest of a stream whose header is already
+    read, from the start of a line on: the header is not yielded, and the
+    values are those the whole text yields after that line start.  Until the
     header is read, and while the unread text holds a ``#``, the text after
     a chunk's last ``"\\n"`` is carried over to the next chunk; otherwise
     only the word the chunk ends in is, so a stream on one line is not held
@@ -472,7 +500,6 @@ def iter_stream_text(fh: TextIO) -> Iterator:
     >>> list(chunks)
     [[3, 1, 2]]
     """
-    header = None
     pending: list[str] = []  # the text read since the last cut
     hashed = False  # whether pending holds a "#"
     mid_line = False  # pending continues a value line whose first words were yielded

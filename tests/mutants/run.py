@@ -498,6 +498,39 @@ MUTANTS = (
         ("tests/test_oracle.py::test_an_early_occurrence_never_builds_the_lists",),
     ),
     Mutant(
+        # a front value repeated in the back half is taken for a permutation
+        "split-maps-never-compared",
+        "permstream/backhalf.py",
+        "        if check.count + count == n and not check.holds_all_but(held):\n"
+        "            return False\n",
+        "",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[front-value-in-the-back-False]",),
+    ),
+    Mutant(
+        # a valid file is short of the back half's values
+        "split-helper-count-dropped",
+        "permstream/backhalf.py",
+        "        check.count += count\n",
+        "",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
+    ),
+    Mutant(
+        # a duplicate in the back half is reported as a short count
+        "split-helper-error-trusted",
+        "permstream/backhalf.py",
+        "        if held[n + 9] != self.CLEAN:\n",
+        "        if held[n + 9] == 0:\n",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[duplicate-in-the-back-False]",),
+    ),
+    Mutant(
+        # the value at the midpoint is read as two values, one in each half
+        "split-mid-at-the-byte-midpoint",
+        "permstream/backhalf.py",
+        "            mid = pos + end + 1\n",
+        "            mid = size // 2\n",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
+    ),
+    Mutant(
         "adapter-telemetry-uncopied",
         "permstream/streaming/adapter.py",
         "        self.peak_cells, self.structure_peaks = inner.peak_cells, inner.structure_peaks\n",

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import random
+import signal
 import subprocess
 import sys
 
 import pytest
 
 from permstream import Occurrence, gen_monotone_lb, new_detector, parse_pattern, parse_stream_text
-from permstream import cli, core, tools
+from permstream import backhalf, cli, core, tools
+from conftest import random_perm
 from permstream.streaming import Detector, Detector312, MonotoneDetector
 from permstream.cli import build_parser, main
 from permstream.tools import _write_replay
@@ -418,6 +423,34 @@ def test_fuzz_reports_an_invalid_witness(tmp_path, monkeypatch, capsys):
     assert f"invalid detector witness {witness}" in text
 
 
+def test_detect_check_replays_an_invalid_witness(tmp_path, monkeypatch, capsys):
+    # the replay file fuzz writes for a witness that does not hold makes
+    # detect --check disagree too, with the same broken detector
+    finish = Detector.finish
+
+    def reversed_witness(self):
+        report = finish(self)
+        occ = report.occurrence
+        return report if occ is None else report._replace(
+            occurrence=Occurrence(positions=occ.positions, values=occ.values[::-1]))
+
+    with monkeypatch.context() as m:
+        m.setattr(Detector, "finish", reversed_witness)
+        argv = ["fuzz", "--pattern", "312", "--n", "5", "--exhaustive"]
+        assert run_cli(*argv, "--replay-dir", str(tmp_path), "--json") == 1
+        path = json_out(capsys)["replay_file"]
+        detect = ["detect", "--pattern", "312", "--input", path, "--check"]
+        assert run_cli(*detect) == 1
+        assert "oracle cross-check: DISAGREE" in capsys.readouterr().out
+        assert run_cli(*detect, "--json") == 1
+        broken = json_out(capsys)
+    assert (broken["verdict"], broken["oracle_verdict"], broken["agree"]) == (True, True, False)
+    assert run_cli(*detect, "--json") == 0
+    fixed = json_out(capsys)
+    assert fixed["agree"] is True
+    assert sorted(broken) == sorted(fixed)  # the schema-1 keys stay as they are
+
+
 def test_an_unwritable_file_exits_2(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -552,6 +585,177 @@ def test_each_input_check_gives_its_message(check, message, capsys):
     else:
         assert run_cli(*check) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# -- detect on a large perm file: the back half in a helper process -------------
+
+#: a permutation this long, written 20 values a line, is past cli.SPLIT_MIN_BYTES
+SPLIT_N = 200_000
+
+
+def _midpoint_inside_a_value(text: str) -> bytes:
+    """``text`` behind a comment sized so that its byte midpoint splits a value."""
+    for pad in range(12):
+        data = ("#" + "x" * pad + "\n" + text).encode()
+        if data[len(data) // 2 - 1 : len(data) // 2 + 1].isdigit():
+            return data
+    raise AssertionError("no padding puts the midpoint inside a value")
+
+
+#: name: (pattern, what the helper does), where ``["start"]`` is a helper
+#: started once the detector has accepted and killed before the junction, a
+#: second entry says whether its half was taken there, and ``[]`` is a file
+#: read in one process
+SPLIT_CASES = {
+    "valid": ("312", ["start", True]),
+    "valid-231": ("231", ["start", True]),
+    "valid-123": ("123", ["start", True]),
+    "adversary": ("312", []),  # no accept: no helper
+    "accepted-in-the-front": ("312", ["start", True]),  # many chunks in
+    "accepted-in-the-back": ("312", []),
+    "duplicate-in-the-back": ("312", ["start", False]),
+    "front-value-in-the-back": ("312", ["start", False]),
+    "out-of-range-in-the-back": ("312", ["start", False]),
+    # the count is all the error says, so the halves are taken together
+    "missing-in-the-back": ("312", ["start", True]),
+    "extra-value": ("312", ["start", False]),
+    "non-integer-in-the-back": ("312", ["start", False]),
+    "non-integer-in-the-front": ("312", ["start"]),
+    "bad-utf8-in-the-back": ("312", ["start", False]),
+    "comments-on-both-sides": ("312", ["start", True]),
+    "crlf": ("312", ["start", True]),
+    "one-line": ("312", []),
+    "comments-before-the-header": ("312", []),
+    "seq": ("312", []),
+}
+
+
+def _split_inputs() -> dict[str, bytes]:
+    """The file of each of :data:`SPLIT_CASES`."""
+    perm = list(random_perm(SPLIT_N, random.Random(23)))
+    back = SPLIT_N * 3 // 4  # a position in the back half
+
+    def text(values, eol="\n", header=f"n={SPLIT_N} mode=perm") -> str:
+        return header + eol + eol.join(
+            " ".join(map(str, values[i : i + 20])) for i in range(0, len(values), 20)) + eol
+
+    def changed(at: int, value) -> list:
+        values = perm[:]
+        values[at] = value
+        return values
+
+    valid = text(perm)
+    word = valid.index(" ", len(valid) * 3 // 4)  # a blank in the back half
+    front = valid.index(" ", len(valid) // 4)
+    late = list(range(1, SPLIT_N - 2)) + [SPLIT_N, SPLIT_N - 2, SPLIT_N - 1]
+    at = SPLIT_N // 4
+    early = list(range(1, SPLIT_N + 1))
+    early[at : at + 3] = [at + 3, at + 1, at + 2]  # the first 312, after increasing values
+    lines = valid.splitlines(keepends=True)
+    texts = {
+        "valid": valid,
+        "valid-231": valid,
+        "valid-123": valid,
+        "adversary": text(Detector312(SPLIT_N).adversary()),
+        "accepted-in-the-front": text(early),
+        "accepted-in-the-back": text(late),
+        "duplicate-in-the-back": text(changed(back + 10, perm[back])),
+        "front-value-in-the-back": text(changed(back, perm[5])),
+        "out-of-range-in-the-back": text(changed(back, SPLIT_N + 1)),
+        "missing-in-the-back": text(perm[:back] + perm[back + 1 :]),
+        "extra-value": text(perm + [perm[-7]]),
+        "non-integer-in-the-back": valid[:word] + " x" + valid[word:],
+        "non-integer-in-the-front": valid[:front] + " x" + valid[front:],
+        "comments-on-both-sides":
+            "".join(line + ("# c\n" if i % 50 == 0 else "") for i, line in enumerate(lines)),
+        "crlf": text(perm, eol="\r\n"),
+        "one-line": f"n={SPLIT_N} mode=perm\n{' '.join(map(str, perm))}\n",
+        "comments-before-the-header": "# 123456789\n" * 140_000 + valid,
+        "seq": text(perm[:-9], header=f"n={SPLIT_N} mode=seq"),
+    }
+    data = {name: _midpoint_inside_a_value(t) for name, t in texts.items()}
+    at = data["valid"].index(b" ", len(data["valid"]) * 3 // 4)
+    data["bad-utf8-in-the-back"] = data["valid"][:at] + b" \xff" + data["valid"][at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def split_files(tmp_path_factory) -> dict:
+    folder = tmp_path_factory.mktemp("split")
+    inputs = _split_inputs()
+    assert sorted(inputs) == sorted(SPLIT_CASES)
+    paths = {}
+    for name, data in inputs.items():
+        assert len(data) >= cli.SPLIT_MIN_BYTES, name
+        paths[name] = folder / f"{name}.txt"
+        paths[name].write_bytes(data)
+    return paths
+
+
+@pytest.mark.parametrize("name, check", [
+    *((name, False) for name in sorted(SPLIT_CASES)),
+    ("valid", True),  # --check keeps every value: one process
+    ("seq", True),
+])
+@pytest.mark.filterwarnings("ignore:no sublinear sequence-mode detector")
+def test_split_detect_matches_one_process(split_files, monkeypatch, capsys, name, check):
+    # the same bytes through stdin are read by one process, as before the split
+    pattern, helper = SPLIT_CASES[name]
+    events = []
+    start, take = backhalf.BackHalf.__init__, backhalf.BackHalf.take
+
+    def spy_start(self, *args):
+        events.append("start")
+        start(self, *args)
+
+    def spy_take(self, validator):
+        taken = take(self, validator)
+        events.append(taken)
+        return taken
+
+    monkeypatch.setattr(backhalf.BackHalf, "__init__", spy_start)
+    monkeypatch.setattr(backhalf.BackHalf, "take", spy_take)
+    argv = ["detect", "--pattern", pattern, *(["--check"] if check else [])]
+    code = run_cli(*argv, "--input", str(split_files[name]))
+    split = (code, *capsys.readouterr())
+    data = split_files[name].read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = run_cli(*argv, "--input", "-")
+    assert split == (code, *capsys.readouterr())
+    assert events == (helper if backhalf.may_fork_helper() and not check else [])
+
+
+@pytest.mark.parametrize("name", ["non-integer-in-the-front", "non-integer-in-the-back", "valid"])
+def test_the_helper_is_always_reaped(split_files, tmp_path, name):
+    # stdout and stderr go to files, so a helper left running cannot hold a pipe
+    # open: the group must be empty as soon as detect has exited
+    argv = [sys.executable, "-m", "permstream.cli", "detect", "--pattern", "312", "--input"]
+    with open(tmp_path / "out", "w+b") as out, open(tmp_path / "err", "w+b") as err:
+        proc = subprocess.Popen([*argv, str(split_files[name])], stdout=out, stderr=err,
+                                start_new_session=True)
+        assert proc.wait(timeout=120) == (0 if name == "valid" else 2)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        out.seek(0)
+        err.seek(0)
+        split = (proc.returncode, out.read(), err.read())
+    with open(split_files[name], "rb") as stdin:
+        ref = subprocess.run([*argv, "-"], stdin=stdin, capture_output=True, timeout=120)
+    assert split == (ref.returncode, ref.stdout, ref.stderr)
+
+
+@pytest.mark.parametrize("name", ["valid", "non-integer-in-the-back"])
+def test_a_helper_the_kernel_reaps_changes_nothing(split_files, name):
+    # with SIGCHLD ignored, as a launcher may leave it, the kernel reaps the
+    # helper itself and waitpid finds no child
+    argv = [sys.executable, "-m", "permstream.cli", "detect", "--pattern", "312", "--input"]
+    split = subprocess.run(
+        [*argv, str(split_files[name])], capture_output=True, timeout=120,
+        preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+    with open(split_files[name], "rb") as stdin:
+        ref = subprocess.run([*argv, "-"], stdin=stdin, capture_output=True, timeout=120)
+    assert (split.returncode, split.stdout, split.stderr) == (ref.returncode, ref.stdout, ref.stderr)
+    assert split.returncode == (0 if name == "valid" else 2)
 
 
 # -- bench ---------------------------------------------------------------------

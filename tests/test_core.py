@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import re
 
@@ -17,8 +18,9 @@ from permstream import (
     parse_stream_text,
     stream_violation,
 )
+from permstream import core
 from permstream.cli import _file_chunks
-from permstream.core import collect_stream
+from permstream.core import StreamValidator, collect_stream, iter_stream_text
 from conftest import perm_instance, random_perm, seq_instance
 
 
@@ -164,3 +166,66 @@ def test_stream_file_round_trip(tmp_path):
     inst = perm_instance((5, 3, 4, 1, 2))
     path.write_text(format_stream_text(inst, comments=["roundtrip"]), encoding="utf-8")
     assert collect_stream(_file_chunks(str(path))) == inst
+
+
+def test_tokenizer_starts_past_a_given_header(monkeypatch):
+    # from any line start on, the values are those of the whole text from there
+    rng = random.Random(19)
+    for _ in range(200):
+        values = [str(v) for v in random_perm(rng.randint(1, 40), rng)]
+        lines = []
+        while values:
+            words = [values.pop() for _ in range(min(len(values), rng.randint(1, 5)))]
+            lines.append(rng.choice(("", "  ")) + " ".join(words))
+            if rng.random() < 0.3:
+                lines.append(rng.choice(("# 9 9", "", "#x", "  # 1")))
+        breaks = [rng.choice(("\n", "\r\n", "\r", "\f", "\u2028")) for _ in lines]
+        body = "".join(map(str.__add__, lines, breaks))
+        starts = [0] + [i + 1 for i, c in enumerate(body) if c in "\n\f\u2028"
+                        or (c == "\r" and body[i + 1 : i + 2] != "\n")]
+        header = (50, StreamMode.DISTINCT_SEQUENCE)
+        for start in starts:
+            monkeypatch.setattr(core, "READ_CHARS", rng.choice((1, 3, 8, 64)))
+            chunks = iter_stream_text(io.StringIO(body[start:]), header)
+            got = [v for part in chunks for v in part]
+            monkeypatch.undo()
+            assert got == list(parse_stream_text("n=50 mode=seq\n" + body[start:]).elements)
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 3, 1 << 16])
+def test_a_map_of_the_back_half_holds_all_the_front_lacks(monkeypatch, slice_bytes):
+    monkeypatch.setattr(core, "MAP_SLICE", slice_bytes)
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        values = list(random_perm(n, rng))
+        cut = rng.randint(0, n)
+        front, back = values[:cut], values[cut:]
+        if back and front and rng.random() < 0.5:  # a front value repeated in the back
+            back[rng.randrange(len(back))] = rng.choice(front)
+        check = StreamValidator(n, StreamMode.PERMUTATION)
+        check.feed(front)
+        helper = StreamValidator(n, StreamMode.PERMUTATION)
+        helper.feed(back)
+        held = bytearray(n + 1)
+        helper.mark_held(held)
+        assert [v for v in range(n + 1) if held[v]] == sorted(set(back))
+        assert check.holds_all_but(held) is (set(front) | set(back) == set(range(1, n + 1))
+                                             and not set(front) & set(back))
+
+
+def test_a_map_marks_far_values_and_a_held_set_is_not_compared(monkeypatch):
+    monkeypatch.setattr(core, "DENSE_FLOOR", 4)
+    monkeypatch.setattr(core, "DENSE_BYTES_PER_VALUE", 1)
+    helper = StreamValidator(100, StreamMode.PERMUTATION)
+    helper.feed([90, 2])
+    assert helper._far == {90}
+    held = bytearray(101)
+    helper.mark_held(held)
+    assert [v for v in range(101) if held[v]] == [2, 90]
+    check = StreamValidator(100, StreamMode.PERMUTATION)
+    check.feed([95])
+    assert check._far == {95}
+    everything_else = bytearray([0] + [1] * 100)
+    everything_else[95] = 0
+    assert not check.holds_all_but(everything_else)

@@ -440,6 +440,11 @@ def _value_split_at_chunk_end(text: str) -> str:
     raise AssertionError("no padding splits a value")
 
 
+#: a permutation whose file, 20 values a line, is large enough for a helper
+#: process to validate its back half (cli.SPLIT_MIN_BYTES)
+LARGE_PERM = list(random_perm(200_000, random.Random(22)))
+
+
 def parity_texts() -> dict[str, str]:
     rng = random.Random(21)
     perm = random_perm(60, rng)
@@ -460,6 +465,7 @@ def parity_texts() -> dict[str, str]:
         "seq": "n=90 mode=seq\n" + "\n".join(_lines(perm[:40])) + "\n",
         "n-is-1": "n=1 mode=perm\n1\n",
         "empty-seq": "n=5 mode=seq\n# no values\n",
+        "large": format_stream_text(StreamInstance(200_000, StreamMode.PERMUTATION, LARGE_PERM)),
     }
     assert len(texts["long-line"]) > READ_CHARS
     return texts
@@ -535,6 +541,13 @@ MALFORMED = {
     "malformed-header": "n=200 mode=perm extra\n1 2\n",
     "malformed-universe": "n=two mode=perm\n1 2\n",
     "unknown-mode": "n=200 mode=list\n1 2\n",
+    # past the file's midpoint, where a helper process reads
+    "large-front-value-in-the-back": _defective(
+        LARGE_PERM[:190_000] + LARGE_PERM[:1] + LARGE_PERM[190_001:], "n=200000 mode=perm"),
+    "large-duplicate-in-the-back": _defective(
+        LARGE_PERM[:190_000] + LARGE_PERM[190_001:190_002] + LARGE_PERM[190_001:],
+        "n=200000 mode=perm"),
+    "large-count-short": _defective(LARGE_PERM[:-1], "n=200000 mode=perm"),
 }
 # inputs with two defects, and the start of the message of the one that wins
 PRECEDENCE = {
