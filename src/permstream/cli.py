@@ -17,6 +17,8 @@ file that ``detect --check`` can re-run directly.
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import os
 import stat
@@ -63,19 +65,52 @@ class UsageError(Exception):
 SPLIT_MIN_BYTES = 1 << 20
 
 
+class _CountedReads(io.BufferedIOBase):
+    """A binary stream that counts the bytes read through it, for the UTF-8
+    text reader :func:`_file_chunks` puts on top, which reads by ``read1``.
+    Closing it leaves the stream it reads open."""
+
+    def __init__(self, raw: io.BufferedIOBase) -> None:
+        self._raw = raw
+        self.count = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self._raw.fileno()
+
+    def read1(self, size: int = -1) -> bytes:
+        data = self._raw.read1(size)
+        self.count += len(data)
+        return data
+
+    def offset(self, exc: UnicodeDecodeError) -> int:
+        """The input's byte offset of the byte the text reader's decoder failed
+        on: it decodes the bytes it kept from the last read joined to the last
+        read, so ``exc.object`` ends at the last byte read so far."""
+        return self.count - len(exc.object) + exc.start
+
+
 def _file_chunks(path: str, settled: Callable | None = None) -> Iterator:
     """:func:`iter_stream_text` over a file ('-' for stdin), errors as UsageError.
 
+    A file and stdin are read alike: their bytes decoded as strict UTF-8
+    with universal newlines, so the same bytes give the same values and the
+    same errors, and a UTF-8 error names its byte offset in the input.
     Given ``settled``, a regular file of at least :data:`SPLIT_MIN_BYTES` is
     read by :func:`permstream.backhalf.split_chunks`, which may have a helper
     process validate its back half.
     """
     try:
         if path == "-":
-            yield from iter_stream_text(sys.stdin)
+            reads = _CountedReads(sys.stdin.buffer)
+            yield from iter_stream_text(io.TextIOWrapper(reads, encoding="utf-8"))
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                st = os.fstat(fh.fileno())
+            with open(path, "rb") as raw:
+                reads = _CountedReads(raw)
+                fh = io.TextIOWrapper(reads, encoding="utf-8")
+                st = os.fstat(raw.fileno())
                 if (settled is not None and stat.S_ISREG(st.st_mode)
                         and st.st_size >= SPLIT_MIN_BYTES):
                     from .backhalf import split_chunks
@@ -85,6 +120,9 @@ def _file_chunks(path: str, settled: Callable | None = None) -> Iterator:
                     yield from iter_stream_text(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"input is not UTF-8 at byte offset {reads.offset(exc)}: {exc.reason}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -188,8 +226,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError(f"invalid stream: {reason}")
     if unusable is not None:
         raise unusable
-    for w in dispatch_warnings:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    for w in dispatch_warnings:  # at a fixed location: no path, line or source of ours
+        warnings.warn_explicit(w.message, w.category, "permstream", 0)
     rep = detector.finish()
 
     agree = oracle_verdict = None
@@ -352,5 +390,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``python -m permstream.cli`` and of the ``permstream``
+    script: :func:`main` on ``sys.argv``, then :func:`gc.freeze`.
+
+    Frozen objects are left out of every later collection, so the collections
+    the interpreter makes at exit skip every object that it, its ``site`` and
+    this run have made, and the OS takes their memory back.  Buffered output
+    is still flushed and atexit handlers still run.  ``main`` itself and the
+    library leave the collector alone: a library must not change its host's.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

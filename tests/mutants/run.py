@@ -537,6 +537,38 @@ MUTANTS = (
         "",
         ("tests/test_dispatch.py::test_adapter_telemetry_follows_the_inner_detector_mid_run[132]",),
     ),
+    Mutant(
+        # main freezes the collector, so a host that calls main gets it frozen
+        "gc-freeze-in-main",
+        "permstream/cli.py",
+        "    args._t0 = time.monotonic()\n",
+        "    args._t0 = time.monotonic()\n    gc.freeze()\n",
+        ("tests/test_imports.py::test_the_library_and_main_leave_the_gc_alone",),
+    ),
+    Mutant(
+        "gc-freeze-dropped",
+        "permstream/cli.py",
+        "    code = main()\n    gc.freeze()\n",
+        "    code = main()\n",
+        ("tests/test_imports.py::test_the_process_entry_freezes_after_main",),
+    ),
+    Mutant(
+        # the warning names the file and line of cli.py that re-emits it
+        "dispatch-warning-at-its-source",
+        "permstream/cli.py",
+        '"permstream", 0)\n',
+        "w.filename, w.lineno)\n",
+        ("tests/test_cli.py::test_detect_warning_is_one_line_at_a_fixed_place[shown]",),
+    ),
+    Mutant(
+        # the offset of the bad byte inside the last read, not in the input
+        "utf8-offset-within-a-read",
+        "permstream/cli.py",
+        "        return self.count - len(exc.object) + exc.start\n",
+        "        return exc.start\n",
+        ("tests/test_stream_input.py::test_malformed_stream_exits_2_with_the_reference_message"
+         "[utf8-bad-past-the-first-read-stdin]",),
+    ),
 )
 
 

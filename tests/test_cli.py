@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -800,14 +801,75 @@ def test_bench_usage_errors():
 # -- entry point ------------------------------------------------------------------
 
 
+def console_script() -> list[str]:
+    """The command an installed ``permstream`` script runs: the function that
+    ``[project.scripts]`` names, called the way pip's wrapper calls it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        module, func = re.search(r'^permstream = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+    return [sys.executable, "-c", f"import sys\nfrom {module} import {func}\nsys.exit({func}())"]
+
+
+ENTRIES = {"module": [sys.executable, "-m", "permstream.cli"], "script": console_script()}
+
+
 def test_console_script_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "permstream.cli", "detect", "--pattern", "21",
-         "--values", "2,1", "--n", "2", "--json"],
+        [*ENTRIES["script"], "detect", "--pattern", "21", "--values", "2,1", "--n", "2", "--json"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["detect", "--pattern", "21", "--values", "2,1", "--n", "2", "--json"], 0,
+                 id="detect"),
+    pytest.param(["detect", "--pattern", "312", "--values", "3,1,2", "--n", "3", "--mode", "seq"],
+                 0, id="detect-warning"),
+    pytest.param(["detect", "--pattern", "312", "--input", "file:valid", "--json"], 0,
+                 id="split"),
+    pytest.param(["detect", "--pattern", "312", "--input", "file:duplicate-in-the-back"], 2,
+                 id="split-duplicate"),
+    pytest.param(["detect", "--pattern", "312", "--input", "file:bad-utf8-in-the-back"], 2,
+                 id="split-bad-utf8"),
+    pytest.param(["detect", "--pattern", "312"], 2, id="no-stream"),
+    pytest.param(["detect", "--pattern", "312", "--n", "x"], 2, id="argparse-error"),
+    pytest.param(["fuzz", "--pattern", "21", "--n", "4", "--exhaustive", "--jobs", "2", "--json"],
+                 0, id="fuzz-jobs-2"),
+    pytest.param(["gen", "--construction", "bogus", "--nsets", "2"], 2, id="gen-error"),
+])
+def test_both_entries_give_the_same_output(split_files, argv, code):
+    argv = [str(split_files[a[5:]]) if a.startswith("file:") else a for a in argv]
+    runs = []
+    for entry in sorted(ENTRIES):
+        proc = subprocess.run([*ENTRIES[entry], *argv], capture_output=True, timeout=120)
+        runs.append((proc.returncode,
+                     re.sub(rb'"wall_time_s": [0-9.e-]+', b"", proc.stdout), proc.stderr))
+    assert runs[0][0] == code
+    assert runs[0] == runs[1]
+
+
+#: the one line a dispatch warning prints, whatever the code around it
+SEQ_WARNING = ("permstream:0: UserWarning: no sublinear sequence-mode detector for 312; "
+               "falling back to the full-storage baseline\n")
+
+
+@pytest.mark.parametrize("flags, stderr", [
+    pytest.param([], SEQ_WARNING, id="shown"),
+    # the category, the message and the module still select it
+    pytest.param(["-W", "ignore"], "", id="ignore"),
+    pytest.param(["-W", "ignore::UserWarning"], "", id="ignore-category"),
+    pytest.param(["-W", "ignore:no sublinear"], "", id="ignore-message"),
+    pytest.param(["-W", "ignore:::permstream"], "", id="ignore-module"),
+    pytest.param(["-W", "ignore::DeprecationWarning"], SEQ_WARNING, id="ignore-other"),
+])
+def test_detect_warning_is_one_line_at_a_fixed_place(flags, stderr):
+    argv = ["detect", "--pattern", "312", "--values", "3,1,2", "--n", "3", "--mode", "seq"]
+    proc = subprocess.run([sys.executable, *flags, "-m", "permstream.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert proc.stdout.startswith("pattern 312 in stream of 3 values (n=3, mode=seq): CONTAINED\n")
 
 
 def test_module_entry_runs_the_lab_subcommands():

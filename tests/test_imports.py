@@ -4,7 +4,9 @@ The lab subcommands' module ``permstream.tools``, with the oracle and the
 generators it imports, the invariant replay and the process pool are loaded
 only by the subcommands that use them; a detector module and the complement
 adapter are loaded only by a run that builds them; the package namespaces
-resolve their re-exports on first use (PEP 562).
+resolve their re-exports on first use (PEP 562).  Only the process entry,
+``cli.run``, freezes the garbage collector; the library and ``main`` leave
+it as they found it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,42 @@ def test_detect_loads_only_its_detector(pattern, values, loaded):
     argv = ("detect", "--pattern", pattern, "--values", values, "--n", "4", "--json")
     want = [f"permstream.streaming.{name}" for name in loaded]
     assert loaded_modules(*argv, watched=DETECTOR_MODULES) == {"import": [], "detect": want}
+
+
+GC_PROBE = """\
+import gc, json, sys
+def state():
+    return [gc.get_freeze_count(), gc.isenabled()]
+seen = {"start": state()}
+import permstream
+seen["import"] = state()
+import permstream.cli
+for argv in json.loads(sys.argv[1]):
+    permstream.cli.main(argv)
+    seen[argv[0]] = state()
+print(json.dumps(seen))
+"""
+
+
+def test_the_library_and_main_leave_the_gc_alone():
+    # only the process entry, cli.run, freezes: a host calling main keeps its collector
+    runs = [["detect", "--pattern", "312", "--values", "3,1,2,4", "--n", "4", "--json"],
+            ["gen", "--construction", "4312", "--nsets", "3", "--json"]]
+    proc = subprocess.run([sys.executable, "-c", GC_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(seen) == ["start", "import", "detect", "gen"]
+    assert all(state == seen["start"] for state in seen.values()), seen
+
+
+def test_the_process_entry_freezes_after_main():
+    probe = ("import gc, sys\nfrom permstream.cli import run\n"
+             "sys.argv[1:] = ['detect', '--pattern', '21', '--values', '2,1', '--n', '2']\n"
+             "code = run()\nprint(code, gc.get_freeze_count() > 0, gc.isenabled())")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_detect_check_loads_the_oracle_only():

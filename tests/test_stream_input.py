@@ -119,11 +119,24 @@ def chunked_parse(text: str) -> StreamInstance:
     return StreamInstance(n=n, mode=mode, elements=tuple(elements))
 
 
-def expected_error(text: str) -> str:
-    """What `parse_stream_text` says about a bad text."""
+def expected_error(text: str | bytes) -> str:
+    """What `parse_stream_text` says about a bad text; for bytes that are not
+    UTF-8, where decoding them whole fails."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"input is not UTF-8 at byte offset {exc.start}: {exc.reason}"
     with pytest.raises(ValueError) as exc:
         parse_stream_text(text)
     return str(exc.value)
+
+
+def feed_stdin(monkeypatch, text: str | bytes) -> None:
+    """Make ``text`` stdin, as bytes under a text reader, the way the
+    interpreter sets up ``sys.stdin``."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 def construction_error(n: int, mode: StreamMode, elements: tuple) -> str | None:
@@ -490,7 +503,7 @@ def test_streamed_detect_equals_parse_and_run_detector(tmp_path, capsys, name, p
 @pytest.mark.parametrize("name", ["comments", "lone-cr", "seq", "n-is-1", "empty-seq"])
 def test_streamed_detect_check_equals_oracle(monkeypatch, capsys, name):
     text = PARITY[name]
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    feed_stdin(monkeypatch, text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code, report, _ = detect(capsys, "--pattern", "4231", "--input", "-", "--check", "--json")
@@ -500,7 +513,7 @@ def test_streamed_detect_check_equals_oracle(monkeypatch, capsys, name):
 
 def test_empty_perm_stream_is_invalid(monkeypatch, capsys):
     text = "n=5 mode=perm\n# no values\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    feed_stdin(monkeypatch, text)
     code, _, err = detect(capsys, "--pattern", "12", "--input", "-")
     assert code == 2
     assert err == f"error: {expected_error(text)}\n"
@@ -548,6 +561,17 @@ MALFORMED = {
         LARGE_PERM[:190_000] + LARGE_PERM[190_001:190_002] + LARGE_PERM[190_001:],
         "n=200000 mode=perm"),
     "large-count-short": _defective(LARGE_PERM[:-1], "n=200000 mode=perm"),
+    # bytes that are not UTF-8: the same message, with the byte offset in the
+    # input, from a file (split or not) and from stdin
+    "utf8-bad-before-the-header": b"\xffn=3 mode=perm\n1 2 3\n",
+    "utf8-bad-in-a-value": b"n=3 mode=perm\n1 2 \xff3\n",
+    "utf8-bad-after-multibyte-text": "# \u00e9\u20ac\U0001d11e\nn=3 mode=perm\n1 2 3\n".encode()
+    + b"\xc3(\n",
+    "utf8-cut-short-at-the-end": b"n=3 mode=perm\n1 2 3\n\xe2\x82",
+    "utf8-bad-past-the-first-read": ("# " + "\u00e9" * READ_CHARS + "\n").encode()
+    + _defective(PERM).encode() + b"\xff\n",
+    "large-utf8-bad-in-the-back": _defective(LARGE_PERM[:190_000], "n=200000 mode=perm").encode()
+    + b"\xff" + "\n".join(_lines(LARGE_PERM[190_000:])).encode() + b"\n",
 }
 # inputs with two defects, and the start of the message of the one that wins
 PRECEDENCE = {
@@ -563,6 +587,9 @@ PRECEDENCE = {
     "range-beats-later-duplicate": (
         _defective(PERM[:160] + [999] + PERM[161:180] + [PERM[0]] + PERM[181:]),
         "invalid stream: value 999 out of range"),
+    "utf8-beats-duplicate": (
+        _defective(PERM[:100] + [PERM[0]] + PERM[101:]).encode() + b"\xff\n",
+        "input is not UTF-8"),
 }
 
 
@@ -576,10 +603,10 @@ def test_malformed_stream_exits_2_with_the_reference_message(
         assert _accept_position("312") < 190  # the defect sits past the accept
     if source == "file":
         path = tmp_path / "s.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         where = str(path)
     else:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         where = "-"
     code, _, err = detect(capsys, "--pattern", "312", "--input", where, "--json")
     assert code == 2
@@ -625,7 +652,7 @@ def test_sparse_stream_detect_agrees_with_the_oracle(
         path.write_text(text)
         argv = ["--input", str(path)]
     else:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         argv = ["--input", "-"]
     code, report, err = detect(capsys, "--pattern", pattern, *argv, "--check", "--json")
     assert (code, err) == (0, "")
