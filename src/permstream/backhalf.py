@@ -5,11 +5,12 @@ detector accepts within a few values.  On a large ``perm`` file the back
 half's tokenizing and validation can then run on a second CPU: once the
 detector has accepted, :func:`split_chunks` forks a :class:`BackHalf`
 helper for the bytes from ``mid``, the first line start at or after the
-byte midpoint, and yields the values before ``mid`` itself.  At ``mid`` the
-helper's result stands for the rest of the file only if it cannot change
-the answer.  Otherwise the helper is killed and the rest is read in this
-process, from the very chunk where the front half stopped, so the output is
-the same as when the file is read straight through.
+byte midpoint, and yields the values before ``mid`` itself: the byte reader
+under the text reader stops at ``mid``, so the text reads as ending there.
+At ``mid`` the helper's result stands for the rest of the file only if it
+cannot change the answer.  Otherwise the helper is killed and the rest is
+read in this process, by the same text reader from the same byte on, so
+the output is the same as when the file is read straight through.
 
 Only :mod:`permstream.cli` imports this module, and only for a regular file
 of at least ``cli.SPLIT_MIN_BYTES``.
@@ -17,7 +18,6 @@ of at least ``cli.SPLIT_MIN_BYTES``.
 
 from __future__ import annotations
 
-import codecs
 import io
 import mmap
 import os
@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 from .core import StreamMode, StreamValidator, iter_stream_text
 
-#: bytes read at a time while the file is searched and counted
+#: bytes read at a time while the file is searched for ``mid``
 _SLICE = 1 << 16
 
 
@@ -58,57 +58,6 @@ def line_start_past_middle(fd: int, size: int) -> int | None:
             return mid if mid < size else None
         pos += len(data)
     return None
-
-
-def text_length(fd: int, end: int) -> int | None:
-    """The number of characters a text reader (UTF-8, universal newlines)
-    makes of the file's first ``end`` bytes, which end in ``\\n``; None if
-    they are not UTF-8."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    chars = pos = 0
-    last_cr = False  # the previous slice ended in "\r"
-    while pos < end:
-        data = os.pread(fd, min(_SLICE, end - pos), pos)
-        if not data:
-            return None
-        try:
-            chars += len(decoder.decode(data))
-        except UnicodeDecodeError:
-            return None
-        if b"\r" in data or last_cr:  # universal newlines read "\r\n" as one "\n"
-            chars -= data.count(b"\r\n") + (last_cr and data.startswith(b"\n"))
-            last_cr = data.endswith(b"\r")
-        pos += len(data)
-    return chars
-
-
-class CutReader:
-    """A text file that reads as ending at character ``cut``, until ``cut`` is None.
-
-    Each read is passed on to ``fh`` as it comes, so ``fh`` decodes the same
-    chunks, and raises the same errors at the same reads, as when it is read
-    straight through; the text of the read that crosses the cut is returned
-    in two parts, the second one once ``cut`` is None again.
-    """
-
-    def __init__(self, fh: io.TextIOBase) -> None:
-        self._fh = fh
-        self.chars = 0  # characters returned
-        self.cut: int | None = None
-        self._rest = ""  # the text read past the cut
-
-    def read(self, size: int) -> str:
-        if self.chars == self.cut:
-            return ""
-        if self._rest:
-            text, self._rest = self._rest, ""
-        else:
-            text = self._fh.read(size)
-        if self.cut is not None and self.chars + len(text) > self.cut:
-            keep = self.cut - self.chars
-            text, self._rest = text[:keep], text[keep:]
-        self.chars += len(text)
-        return text
 
 
 class _Pread(io.RawIOBase):
@@ -212,7 +161,7 @@ class BackHalf:
         self._map.close()
 
 
-def split_chunks(fh: io.TextIOBase, settled: Callable[[], StreamValidator | None]) -> Iterator:
+def split_chunks(fh: io.TextIOWrapper, settled: Callable[[], StreamValidator | None]) -> Iterator:
     """:func:`iter_stream_text` over ``fh``, with a ``perm`` stream's back half
     validated by a :class:`BackHalf` once the answer is settled.
 
@@ -220,18 +169,16 @@ def split_chunks(fh: io.TextIOBase, settled: Callable[[], StreamValidator | None
     and no value read so far is wrong, and None before.  At the first chunk
     after which it does, and if :func:`may_fork_helper`, a helper is forked
     for the bytes from ``mid``, the first line start at or after the byte
-    midpoint, and the values yielded here end at ``mid``.  There the
-    helper's half is taken if the answer is still settled and
+    midpoint, and ``fh.buffer``, a ``cli._CountedReads``, stops at ``mid``.
+    There the helper's half is taken if the answer is still settled and
     :meth:`BackHalf.take` allows it; otherwise the helper is killed and the
-    rest is read here.  A stream that never settles forks no helper, and
-    one whose reading has passed ``mid`` by then, or whose front half is
-    not UTF-8, is read here whole.
+    rest is read here.  A stream that never settles forks no helper, and one
+    whose reading has passed ``mid`` by then is read here whole.
     """
     if not may_fork_helper():
         yield from iter_stream_text(fh)
         return
-    reader = CutReader(fh)
-    chunks = iter_stream_text(reader)
+    chunks = iter_stream_text(fh)
     header = next(chunks)
     yield header
     n, mode = header
@@ -244,12 +191,12 @@ def split_chunks(fh: io.TextIOBase, settled: Callable[[], StreamValidator | None
             break
     else:
         return
+    reads = fh.buffer
     fd = fh.fileno()
     size = os.fstat(fd).st_size
     # a valid perm file has at least one byte per value, so the map stays small
     mid = line_start_past_middle(fd, size) if 0 < n <= size else None
-    cut = None if mid is None else text_length(fd, mid)
-    if cut is None or cut < reader.chars:
+    if mid is None or reads.count > mid:
         yield from chunks
         return
     try:
@@ -257,11 +204,11 @@ def split_chunks(fh: io.TextIOBase, settled: Callable[[], StreamValidator | None
     except OSError:  # no memory or no process for the helper
         yield from chunks
         return
-    reader.cut = cut
+    reads.stop = mid
     with back:
         yield from chunks
         check = settled()
         if check is not None and back.take(check):
             return
-    reader.cut = None
-    yield from iter_stream_text(reader, header)
+    reads.stop = None
+    yield from iter_stream_text(fh, header)

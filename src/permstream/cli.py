@@ -17,6 +17,7 @@ file that ``detect --check`` can re-run directly.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
@@ -68,11 +69,14 @@ SPLIT_MIN_BYTES = 1 << 20
 class _CountedReads(io.BufferedIOBase):
     """A binary stream that counts the bytes read through it, for the UTF-8
     text reader :func:`_file_chunks` puts on top, which reads by ``read1``.
+    While ``stop`` is set, it reads as ending at that byte offset: the split
+    path (:func:`permstream.backhalf.split_chunks`) sets it at a line start.
     Closing it leaves the stream it reads open."""
 
     def __init__(self, raw: io.BufferedIOBase) -> None:
         self._raw = raw
         self.count = 0
+        self.stop: int | None = None
 
     def readable(self) -> bool:
         return True
@@ -81,6 +85,9 @@ class _CountedReads(io.BufferedIOBase):
         return self._raw.fileno()
 
     def read1(self, size: int = -1) -> bytes:
+        if self.stop is not None:
+            left = self.stop - self.count
+            size = left if size < 0 else min(size, left)
         data = self._raw.read1(size)
         self.count += len(data)
         return data
@@ -104,6 +111,8 @@ def _file_chunks(path: str, settled: Callable | None = None) -> Iterator:
     """
     try:
         if path == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             reads = _CountedReads(sys.stdin.buffer)
             yield from iter_stream_text(io.TextIOWrapper(reads, encoding="utf-8"))
         else:

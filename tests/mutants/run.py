@@ -531,6 +531,22 @@ MUTANTS = (
         ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
     ),
     Mutant(
+        # the parent has read past mid: the helper's half is counted twice
+        "split-cut-behind-the-reader",
+        "permstream/backhalf.py",
+        "    if mid is None or reads.count > mid:\n",
+        "    if mid is None:\n",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[accepted-past-the-middle-False]",),
+    ),
+    Mutant(
+        # after a refused helper the parent still reads as ending at mid
+        "split-cut-left-set",
+        "permstream/backhalf.py",
+        "    reads.stop = None\n",
+        "",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[duplicate-in-the-back-False]",),
+    ),
+    Mutant(
         "adapter-telemetry-uncopied",
         "permstream/streaming/adapter.py",
         "        self.peak_cells, self.structure_peaks = inner.peak_cells, inner.structure_peaks\n",

@@ -473,11 +473,20 @@ def test_an_unwritable_file_exits_2(tmp_path, monkeypatch, capsys):
 MISSING = "/no/such/dir/stream.txt"
 
 
+class ClosedStdin(list):
+    """An argv that ``python -m permstream.cli`` runs with stdin closed, as
+    after ``<&-``: the interpreter then sets ``sys.stdin`` to None."""
+
+
 @pytest.mark.parametrize("check, message", [
     (["detect", "--pattern", "12", "--values", "1,2", "--n", "2", "--input", MISSING],
      "give either --input or --values, not both"),
     (["detect", "--pattern", "12", "--input", MISSING],
      f"cannot read {MISSING}: [Errno 2] No such file or directory: '{MISSING}'"),
+    (ClosedStdin(["detect", "--pattern", "12", "--input", "-"]),
+     "cannot read -: [Errno 9] Bad file descriptor"),
+    (ClosedStdin(["oracle", "--pattern", "12", "--input", "-"]),
+     "cannot read -: [Errno 9] Bad file descriptor"),
     (["detect", "--pattern", "12", "--values", "1,x", "--n", "2"],
      "bad --values: invalid literal for int() with base 10: 'x'"),
     # a value is ASCII digits with an optional leading "-": int() alone takes more
@@ -576,6 +585,10 @@ def test_each_input_check_gives_its_message(check, message, capsys):
         with pytest.raises(ValueError) as exc:
             check()
         assert str(exc.value) == message
+    elif isinstance(check, ClosedStdin):
+        proc = subprocess.run([*ENTRIES["module"], *check], capture_output=True, text=True,
+                              preexec_fn=lambda: os.close(0), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     elif message.startswith("argument "):  # argparse's check: the usage, then its error line
         with pytest.raises(SystemExit) as exc:
             run_cli(*check)
@@ -623,6 +636,8 @@ SPLIT_CASES = {
     "non-integer-in-the-back": ("312", ["start", False]),
     "non-integer-in-the-front": ("312", ["start"]),
     "bad-utf8-in-the-back": ("312", ["start", False]),
+    "bad-utf8-in-the-front": ("312", ["start"]),
+    "accepted-past-the-middle": ("312", []),  # the reader has taken bytes past mid
     "comments-on-both-sides": ("312", ["start", True]),
     "crlf": ("312", ["start", True]),
     "one-line": ("312", []),
@@ -675,8 +690,17 @@ def _split_inputs() -> dict[str, bytes]:
         "seq": text(perm[:-9], header=f"n={SPLIT_N} mode=seq"),
     }
     data = {name: _midpoint_inside_a_value(t) for name, t in texts.items()}
-    at = data["valid"].index(b" ", len(data["valid"]) * 3 // 4)
-    data["bad-utf8-in-the-back"] = data["valid"][:at] + b" \xff" + data["valid"][at:]
+    for name, where in (("bad-utf8-in-the-back", 3 / 4), ("bad-utf8-in-the-front", 1 / 4)):
+        at = data["valid"].index(b" ", int(len(data["valid"]) * where))
+        data[name] = data["valid"][:at] + b" \xff" + data["valid"][at:]
+    # the first 312 is the last three values before mid
+    rising = _midpoint_inside_a_value(text(range(1, SPLIT_N + 1)))
+    mid = rising.index(b"\n", len(rising) // 2) + 1
+    k = len(rising[:mid].split()) - 3  # the words before mid but the comment and header
+    past = list(range(1, SPLIT_N + 1))
+    past[k - 3 : k] = [k, k - 2, k - 1]
+    data["accepted-past-the-middle"] = _midpoint_inside_a_value(text(past))
+    assert len(data["accepted-past-the-middle"]) == len(rising)
     return data
 
 
@@ -702,12 +726,18 @@ def split_files(tmp_path_factory) -> dict:
 def test_split_detect_matches_one_process(split_files, monkeypatch, capsys, name, check):
     # the same bytes through stdin are read by one process, as before the split
     pattern, helper = SPLIT_CASES[name]
-    events = []
+    events, mids, reads = [], [], []
     start, take = backhalf.BackHalf.__init__, backhalf.BackHalf.take
 
-    def spy_start(self, *args):
+    class CountedReads(cli._CountedReads):
+        def __init__(self, raw):
+            super().__init__(raw)
+            reads.append(self)
+
+    def spy_start(self, fd, mid, header):
         events.append("start")
-        start(self, *args)
+        mids.append(mid)
+        start(self, fd, mid, header)
 
     def spy_take(self, validator):
         taken = take(self, validator)
@@ -716,9 +746,12 @@ def test_split_detect_matches_one_process(split_files, monkeypatch, capsys, name
 
     monkeypatch.setattr(backhalf.BackHalf, "__init__", spy_start)
     monkeypatch.setattr(backhalf.BackHalf, "take", spy_take)
+    monkeypatch.setattr(cli, "_CountedReads", CountedReads)
     argv = ["detect", "--pattern", pattern, *(["--check"] if check else [])]
     code = run_cli(*argv, "--input", str(split_files[name]))
     split = (code, *capsys.readouterr())
+    if events[-1:] == [True]:  # the parent read no byte of the helper's half
+        assert reads[0].count == mids[0]
     data = split_files[name].read_bytes()
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = run_cli(*argv, "--input", "-")
