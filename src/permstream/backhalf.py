@@ -7,8 +7,9 @@ detector has accepted, :func:`split_chunks` forks a :class:`BackHalf`
 helper for the bytes from ``mid``, the first line start at or after the
 byte midpoint, and yields the values before ``mid`` itself: the byte reader
 under the text reader stops at ``mid``, so the text reads as ending there.
-At ``mid`` the helper's result stands for the rest of the file only if it
-cannot change the answer.  Otherwise the helper is killed and the rest is
+At ``mid`` the helper's half is taken only when the two halves together
+are exactly a permutation of [1, n], the one case where the answer is
+known without reading on.  Otherwise the helper is killed and the rest is
 read in this process, by the same text reader from the same byte on, so
 the output is the same as when the file is read straight through.
 
@@ -27,9 +28,6 @@ from typing import Callable, Iterator
 
 from .core import StreamMode, StreamValidator, iter_stream_text
 
-#: bytes read at a time while the file is searched for ``mid``
-_SLICE = 1 << 16
-
 
 def may_fork_helper() -> bool:
     """Whether this process may fork a helper: ``os.fork``, one thread (a fork
@@ -47,17 +45,9 @@ def may_fork_helper() -> bool:
 def line_start_past_middle(fd: int, size: int) -> int | None:
     """The offset just past the first ``\\n`` at or after the file's byte
     midpoint, or None when no line starts there before the end."""
-    pos = size // 2
-    while pos < size:
-        data = os.pread(fd, _SLICE, pos)
-        if not data:
-            return None
-        end = data.find(b"\n")
-        if end >= 0:
-            mid = pos + end + 1
-            return mid if mid < size else None
-        pos += len(data)
-    return None
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as data:
+        mid = data.find(b"\n", size // 2) + 1
+        return mid if 0 < mid < len(data) else None
 
 
 class _Pread(io.RawIOBase):
@@ -80,65 +70,48 @@ class _Pread(io.RawIOBase):
 class BackHalf:
     """A forked helper that tokenizes and validates a ``perm`` file from byte ``mid`` on.
 
-    The helper writes what it holds into an anonymous shared map made before
-    the fork: byte v is 1 when it read value v, and behind the n + 1 bytes of
-    the map come its value count (8 bytes) and, written last, how it ended
-    (1 byte): :data:`CLEAN`, :data:`FAILED` on an error of the validator, the
-    tokenizer or the UTF-8 decoder, and 0 if it died first.  It never writes
-    to stdout or stderr and always ends in ``os._exit``.  Use it as a context
+    The helper hands over one anonymous shared map of n + 2 bytes, made
+    before the fork: byte v is 1 when it read value v, and byte n + 1, the
+    done byte, is set last, and only when its half met no error of the
+    validator, the tokenizer or the UTF-8 decoder.  It never writes to
+    stdout or stderr and always ends in ``os._exit``.  Use it as a context
     manager: leaving it kills and reaps a helper not yet reaped.
     """
 
-    CLEAN, FAILED = 1, 2
-
     def __init__(self, fd: int, mid: int, header: tuple[int, StreamMode]) -> None:
-        self.n = n = header[0]
-        self._map = mmap.mmap(-1, n + 10)
+        self.n = header[0]
+        self._map = mmap.mmap(-1, self.n + 2)
         self.pid: int | None = os.fork()
         if self.pid == 0:
-            code = 1
             try:
                 self._validate(fd, mid, header)
-                code = 0
-            finally:
-                os._exit(code)
+            finally:  # silently, also on an error, which leaves the done byte unset
+                os._exit(0)
 
     def _validate(self, fd: int, mid: int, header: tuple[int, StreamMode]) -> None:
         """The helper's work, from the start of the line at byte ``mid``."""
         check = StreamValidator(*header)
         text = io.TextIOWrapper(io.BufferedReader(_Pread(fd, mid)), encoding="utf-8")
-        failed = True
-        try:
-            for values in iter_stream_text(text, header):
-                check.feed(values)
-                if check.error is not None:
-                    break
-            else:
-                failed = False
-        except (OSError, ValueError):  # a tokenizer, UTF-8 or read error
-            pass
+        for values in iter_stream_text(text, header):
+            check.feed(values)
+            if check.error is not None:
+                return
         check.mark_held(self._map)
-        self._map[self.n + 1 :] = check.count.to_bytes(8, "little") + bytes(
-            [self.FAILED if failed else self.CLEAN])
+        self._map[self.n + 1] = 1
 
     def take(self, check: StreamValidator) -> bool:
         """Add the helper's half to ``check``, the front half read without an
-        error, unless that could change the answer.
+        error, if the two halves are exactly a permutation of [1, n].
 
-        Waits for the helper.  The halves are taken together when the helper
-        ended cleanly without an error and they hold no value twice: with
-        exactly n values in all, the helper's map must mark just the values
-        ``check`` lacks; with any other total, the count is all
-        :meth:`StreamValidator.violation` reports, whatever the values.
+        Waits for the helper.  Its half is taken when the done byte is set
+        and the map marks just the values ``check`` lacks; ``check`` then
+        holds all n values.  Any other case, a short or long file included,
+        is left to the caller to read on.
         """
         self._reap()
-        n, held = self.n, self._map
-        if held[n + 9] != self.CLEAN:
+        if not self._map[self.n + 1] or not check.holds_all_but(self._map):
             return False
-        count = int.from_bytes(held[n + 1 : n + 9], "little")
-        if check.count + count == n and not check.holds_all_but(held):
-            return False
-        check.count += count
+        check.count = self.n
         return True
 
     def __enter__(self) -> "BackHalf":
@@ -175,9 +148,6 @@ def split_chunks(fh: io.TextIOWrapper, settled: Callable[[], StreamValidator | N
     rest is read here.  A stream that never settles forks no helper, and one
     whose reading has passed ``mid`` by then is read here whole.
     """
-    if not may_fork_helper():
-        yield from iter_stream_text(fh)
-        return
     chunks = iter_stream_text(fh)
     header = next(chunks)
     yield header
@@ -195,7 +165,7 @@ def split_chunks(fh: io.TextIOWrapper, settled: Callable[[], StreamValidator | N
     fd = fh.fileno()
     size = os.fstat(fd).st_size
     # a valid perm file has at least one byte per value, so the map stays small
-    mid = line_start_past_middle(fd, size) if 0 < n <= size else None
+    mid = line_start_past_middle(fd, size) if 0 < n <= size and may_fork_helper() else None
     if mid is None or reads.count > mid:
         yield from chunks
         return

@@ -138,12 +138,12 @@ def _file_chunks(path: str, settled: Callable | None = None) -> Iterator:
 
 def _stream_chunks(args: argparse.Namespace, settled: Callable | None = None) -> Iterator:
     """The stream's header ``(n, mode)``, then its values in lists."""
-    if args.input and args.values:
+    if args.input is not None and args.values is not None:
         raise UsageError("give either --input or --values, not both")
-    if args.input:
+    if args.input is not None:
         yield from _file_chunks(args.input, settled)
         return
-    if args.values:
+    if args.values is not None:
         if args.n is None:
             raise UsageError("--values needs --n to fix the universe size")
         try:
@@ -198,8 +198,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     Without ``--check``, once the detector has accepted, a large ``perm``
     file's back half is validated by a forked helper (:mod:`permstream.backhalf`).
-    Its result is taken at the midpoint only if no value is wrong in either
-    half; otherwise this loop reads on, so the output is the same.
+    Its half is taken at the midpoint only if the two halves together are
+    exactly a permutation of [1, n]; otherwise this loop reads on, so the
+    output is the same.
     """
     pattern = _parse_pattern_arg(args.pattern)
 

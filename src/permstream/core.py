@@ -273,7 +273,8 @@ class StreamValidator:
         return self.error
 
     def mark_held(self, out) -> None:
-        """Set byte v of ``out``, a zeroed map of n + 1 bytes, to 1 for each value v held."""
+        """Set byte v of ``out``, a zeroed map of n + 1 bytes or more, to 1 for
+        each value v held."""
         out[: len(self._guard)] = self._guard
         for value in self._far:
             out[value] = 1

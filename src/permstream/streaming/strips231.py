@@ -52,6 +52,7 @@ counters per closed strip.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right, insort
 from itertools import islice
 from typing import Iterable
@@ -139,7 +140,9 @@ class Detector231(Detector):
         if mode is not StreamMode.PERMUTATION:
             raise ValueError("Detector231 requires a permutation stream")
         super().__init__(Pattern((2, 3, 1)), n, mode)
-        self.strip_size = max(1, math.isqrt(n))
+        # _feed asks islice for up to s - 1 values, and islice takes at most
+        # sys.maxsize: the cap binds only past n = 2**126, which no stream reaches
+        self.strip_size = max(1, min(math.isqrt(n), sys.maxsize + 1))
         self._buffer: list[int] = []
         # part (3), one entry per closed strip with a gap pair: its endpoints,
         # and the values strictly between them seen in or after the strip

@@ -51,8 +51,14 @@ def _largest_missing_below(window: list[int], h: int) -> int:
 
 
 def default_window(n: int) -> int:
-    """The window width k = max(1, floor(sqrt(n * log2 n)))."""
-    return max(1, math.isqrt(int(n * math.log2(n))) if n > 1 else 1)
+    """The window width k = max(1, floor(sqrt(n * log2 n))), with log2 n
+    rounded down where n * log2 n is past a float, far beyond any stream's length."""
+    if n < 2:
+        return 1
+    try:
+        return max(1, math.isqrt(int(n * math.log2(n))))
+    except OverflowError:
+        return math.isqrt(n * (n.bit_length() - 1))
 
 
 class Detector312(Detector):

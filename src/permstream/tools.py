@@ -186,7 +186,7 @@ Outputs = list[tuple[str, str]]  # (suffix to --out, stream text)
 
 
 def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
-    if not args.input:
+    if args.input is None:
         raise UsageError("extend needs --input FILE")
     source = _checked_stream(_file_chunks(args.input))
     out = extend_stream(source)
@@ -378,13 +378,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.pattern:
         pattern = _parse_pattern_arg(args.pattern)
-        if args.exhaustive and (args.n is None or args.n > _EXHAUSTIVE_PERM_CAP):
+        if args.n is None:
+            raise UsageError("--pattern fuzzing needs --n")
+        if args.exhaustive and args.n > _EXHAUSTIVE_PERM_CAP:
             raise UsageError(
                 f"--exhaustive enumerates all n! permutations; n <= {_EXHAUSTIVE_PERM_CAP} "
                 f"required (8! = 40320 streams), got n={args.n}"
             )
-        if args.n is None:
-            raise UsageError("--pattern fuzzing needs --n")
         if args.n < 1:
             raise UsageError(f"--n must be at least 1, got {args.n}")
         if args.exhaustive:

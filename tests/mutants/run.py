@@ -501,33 +501,32 @@ MUTANTS = (
         # a front value repeated in the back half is taken for a permutation
         "split-maps-never-compared",
         "permstream/backhalf.py",
-        "        if check.count + count == n and not check.holds_all_but(held):\n"
-        "            return False\n",
-        "",
+        "        if not self._map[self.n + 1] or not check.holds_all_but(self._map):\n",
+        "        if not self._map[self.n + 1]:\n",
         ("tests/test_cli.py::test_split_detect_matches_one_process[front-value-in-the-back-False]",),
     ),
     Mutant(
         # a valid file is short of the back half's values
         "split-helper-count-dropped",
         "permstream/backhalf.py",
-        "        check.count += count\n",
+        "        check.count = self.n\n",
         "",
         ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
     ),
     Mutant(
-        # a duplicate in the back half is reported as a short count
+        # a helper that met a bad token is taken at its empty map
         "split-helper-error-trusted",
         "permstream/backhalf.py",
-        "        if held[n + 9] != self.CLEAN:\n",
-        "        if held[n + 9] == 0:\n",
-        ("tests/test_cli.py::test_split_detect_matches_one_process[duplicate-in-the-back-False]",),
+        "        if not self._map[self.n + 1] or not check.holds_all_but(self._map):\n",
+        "        if not check.holds_all_but(self._map):\n",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[every-value-in-the-front-False]",),
     ),
     Mutant(
         # the value at the midpoint is read as two values, one in each half
         "split-mid-at-the-byte-midpoint",
         "permstream/backhalf.py",
-        "            mid = pos + end + 1\n",
-        "            mid = size // 2\n",
+        "        mid = data.find(b\"\\n\", size // 2) + 1\n",
+        "        mid = size // 2\n",
         ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
     ),
     Mutant(

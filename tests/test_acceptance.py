@@ -212,13 +212,11 @@ def test_space_bound_regression():
             ok = ok and rep.structure_peaks["strips"] <= math.ceil(math.sqrt(n))
             ok = ok and rep.peak_cells <= bound231
 
-        # adversarial rejecting runs exercise the peak for real: a layered
-        # 312-avoider fills D, and the increasing permutation fills the strips.
-        layered: list[int] = []
-        for lo in range(1, n + 1, k + 1):
-            layered.extend(range(min(lo + k, n), lo - 1, -1))
+        # adversarial rejecting runs exercise the peak for real: each detector's
+        # own adversary, a layered 312-avoider that fills D and a 231-avoider
+        # that fills the strips
         det = Detector312(n)
-        for v in layered:
+        for v in det.adversary():
             det.push(v)
         rep = det.finish()
         ok = ok and not rep.verdict
@@ -226,7 +224,7 @@ def test_space_bound_regression():
         ok = ok and rep.peak_cells <= bound312
 
         det = Detector231(n)
-        for v in range(1, n + 1):
+        for v in det.adversary():
             det.push(v)
         rep = det.finish()
         ok = ok and not rep.verdict

@@ -489,6 +489,20 @@ class ClosedStdin(list):
      "cannot read -: [Errno 9] Bad file descriptor"),
     (["detect", "--pattern", "12", "--values", "1,x", "--n", "2"],
      "bad --values: invalid literal for int() with base 10: 'x'"),
+    # an empty argument is given, so it is read as given
+    (["detect", "--pattern", "12", "--input", ""],
+     "cannot read : [Errno 2] No such file or directory: ''"),
+    (["oracle", "--pattern", "12", "--input", ""],
+     "cannot read : [Errno 2] No such file or directory: ''"),
+    (["gen", "--construction", "extend", "--input", ""],
+     "cannot read : [Errno 2] No such file or directory: ''"),
+    (["detect", "--pattern", "12", "--values", "", "--n", "2"],
+     "bad --values: invalid literal for int() with base 10: ''"),
+    (["oracle", "--pattern", "12", "--values", "", "--n", "2"],
+     "bad --values: invalid literal for int() with base 10: ''"),
+    (["detect", "--pattern", "12", "--values", "", "--input", ""],
+     "give either --input or --values, not both"),
+    (["fuzz", "--pattern", "12", "--exhaustive"], "--pattern fuzzing needs --n"),
     # a value is ASCII digits with an optional leading "-": int() alone takes more
     (["detect", "--pattern", "21", "--values", "1,2_0", "--n", "20", "--mode", "seq"],
      "bad --values: invalid literal for int() with base 10: '2_0'"),
@@ -630,13 +644,14 @@ SPLIT_CASES = {
     "duplicate-in-the-back": ("312", ["start", False]),
     "front-value-in-the-back": ("312", ["start", False]),
     "out-of-range-in-the-back": ("312", ["start", False]),
-    # the count is all the error says, so the halves are taken together
-    "missing-in-the-back": ("312", ["start", True]),
+    "missing-in-the-back": ("312", ["start", False]),
     "extra-value": ("312", ["start", False]),
     "non-integer-in-the-back": ("312", ["start", False]),
     "non-integer-in-the-front": ("312", ["start"]),
     "bad-utf8-in-the-back": ("312", ["start", False]),
     "bad-utf8-in-the-front": ("312", ["start"]),
+    # the helper reads no value, then a bad token: its empty half must not be taken
+    "every-value-in-the-front": ("312", ["start", False]),
     "accepted-past-the-middle": ("312", []),  # the reader has taken bytes past mid
     "comments-on-both-sides": ("312", ["start", True]),
     "crlf": ("312", ["start", True]),
@@ -693,6 +708,9 @@ def _split_inputs() -> dict[str, bytes]:
     for name, where in (("bad-utf8-in-the-back", 3 / 4), ("bad-utf8-in-the-front", 1 / 4)):
         at = data["valid"].index(b" ", int(len(data["valid"]) * where))
         data[name] = data["valid"][:at] + b" \xff" + data["valid"][at:]
+    # all n values, then comments past the byte midpoint, then a bad token
+    comments = "# c\n" * (len(valid) // 4 + 1)
+    data["every-value-in-the-front"] = (valid + comments + "x\n").encode()
     # the first 312 is the last three values before mid
     rising = _midpoint_inside_a_value(text(range(1, SPLIT_N + 1)))
     mid = rising.index(b"\n", len(rising) // 2) + 1

@@ -538,6 +538,16 @@ def _accept_position(pattern_text: str) -> int:
     raise AssertionError("the stream was meant to accept")
 
 
+#: headers that overstate n, run for every family: neither the guard nor a
+#: detector's strip size (231, past sys.maxsize squared) or window (312, past
+#: a float) may be sized from the header alone
+HEADER_N = {
+    "perm-count-huge-n": f"n={10**15} mode=perm\n3 1 2\n",
+    "perm-count-n-past-an-index": f"n={10**20} mode=perm\n3 1 2\n",
+    "perm-count-huge-n-and-value": f"n={10**15} mode=perm\n{10**15} 1 2\n",
+    "perm-count-n-past-a-strip": f"n={10**38} mode=perm\n1\n",
+    "perm-count-n-past-a-float": f"n={10**400} mode=perm\n1\n",
+}
 MALFORMED = {
     "duplicate-after-accept": _defective(PERM[:199] + [PERM[0]]),
     "out-of-range-after-accept": _defective(PERM[:199] + [201]),
@@ -545,10 +555,7 @@ MALFORMED = {
     "non-integer-after-accept": _defective(PERM) + "7.5\n",
     "perm-count-short": _defective(PERM[:150]),
     "perm-count-long": _defective(PERM + [201]),
-    # headers that overstate n: the guard must not be sized from the header
-    "perm-count-huge-n": f"n={10**15} mode=perm\n3 1 2\n",
-    "perm-count-n-past-an-index": f"n={10**20} mode=perm\n3 1 2\n",
-    "perm-count-huge-n-and-value": f"n={10**15} mode=perm\n{10**15} 1 2\n",
+    **HEADER_N,
     "n-is-0": "n=0 mode=perm\n1 2\n",
     "missing-header": "# only a comment\n\n",
     "malformed-header": "n=200 mode=perm extra\n1 2\n",
@@ -598,6 +605,19 @@ PRECEDENCE = {
 def test_malformed_stream_exits_2_with_the_reference_message(
     tmp_path, monkeypatch, capsys, name, source
 ):
+    check_malformed(tmp_path, monkeypatch, capsys, name, source, "312")
+
+
+@pytest.mark.parametrize("pattern", ["123", "132", "231", "213", "4231"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("name", sorted(HEADER_N))
+def test_a_header_n_past_the_values_exits_2_in_every_family(
+    tmp_path, monkeypatch, capsys, name, source, pattern
+):
+    check_malformed(tmp_path, monkeypatch, capsys, name, source, pattern)
+
+
+def check_malformed(tmp_path, monkeypatch, capsys, name, source, pattern):
     text, winner = PRECEDENCE.get(name, (MALFORMED.get(name), ""))
     if name.endswith("after-accept"):
         assert _accept_position("312") < 190  # the defect sits past the accept
@@ -608,7 +628,7 @@ def test_malformed_stream_exits_2_with_the_reference_message(
     else:
         feed_stdin(monkeypatch, text)
         where = "-"
-    code, _, err = detect(capsys, "--pattern", "312", "--input", where, "--json")
+    code, _, err = detect(capsys, "--pattern", pattern, "--input", where, "--json")
     assert code == 2
     assert err == f"error: {expected_error(text)}\n"
     assert err.startswith(f"error: {winner}")
