@@ -44,10 +44,14 @@ def may_fork_helper() -> bool:
 
 def line_start_past_middle(fd: int, size: int) -> int | None:
     """The offset just past the first ``\\n`` at or after the file's byte
-    midpoint, or None when no line starts there before the end."""
-    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as data:
-        mid = data.find(b"\n", size // 2) + 1
-        return mid if 0 < mid < len(data) else None
+    midpoint, or None when no line starts there before the end or the file
+    cannot be mapped: it is then read by one process."""
+    try:
+        with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as data:
+            mid = data.find(b"\n", size // 2) + 1
+            return mid if 0 < mid < len(data) else None
+    except (OSError, ValueError):  # no mmap on this file system, or the file is empty now
+        return None
 
 
 class _Pread(io.RawIOBase):

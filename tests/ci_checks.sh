@@ -9,10 +9,12 @@
 #
 # The prefix runs wherever the text below says "permstream"; the lines that
 # say "python -m permstream.cli" run the module entry itself.  Either way the
-# package is imported from this checkout's src/.
+# package is imported from this checkout's src/.  The function below runs the
+# prefix with `command`, so a prefix that is itself `permstream` finds the
+# script on PATH rather than the function.
 set -eu
 cmd=$1
-permstream() { $cmd "$@"; }
+permstream() { command $cmd "$@"; }
 src=$(cd "$(dirname "$0")/../src" && pwd)
 PYTHONPATH=$src${PYTHONPATH:+:$PYTHONPATH}
 export PYTHONPATH

@@ -525,8 +525,8 @@ MUTANTS = (
         # the value at the midpoint is read as two values, one in each half
         "split-mid-at-the-byte-midpoint",
         "permstream/backhalf.py",
-        "        mid = data.find(b\"\\n\", size // 2) + 1\n",
-        "        mid = size // 2\n",
+        "            mid = data.find(b\"\\n\", size // 2) + 1\n",
+        "            mid = size // 2\n",
         ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
     ),
     Mutant(

@@ -810,6 +810,25 @@ def test_a_helper_the_kernel_reaps_changes_nothing(split_files, name):
     assert split.returncode == (0 if name == "valid" else 2)
 
 
+def test_a_file_that_cannot_be_mapped_is_read_by_one_process(split_files, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "perm"
+    path.write_bytes(b"1\n2\n3\n4\n")
+    with open(path, "r+b") as fh:
+        assert backhalf.line_start_past_middle(fh.fileno(), 8) == 6
+        fh.truncate(0)  # emptied after its size was taken: mmap raises ValueError
+        assert backhalf.line_start_past_middle(fh.fileno(), 8) is None
+
+    def no_mmap(fd, *args, **kwargs):
+        if fd == -1:  # the helper's anonymous map
+            return mmap_type(fd, *args, **kwargs)
+        raise OSError(19, "No such device")
+
+    mmap_type = backhalf.mmap.mmap
+    monkeypatch.setattr(backhalf.mmap, "mmap", no_mmap)
+    assert run_cli("detect", "--pattern", "312", "--input", str(split_files["valid"])) == 0
+    assert "accepted" in capsys.readouterr().out
+
+
 # -- bench ---------------------------------------------------------------------
 
 
