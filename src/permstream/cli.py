@@ -172,6 +172,13 @@ def _occurrence_json(occ) -> dict | None:
     }
 
 
+def _show_plainly(caught: list[warnings.WarningMessage]) -> None:
+    """Show caught warnings at a fixed place, ``permstream:0``: one line each,
+    with no path, line or source of ours (``-W`` still selects them)."""
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, "permstream", 0)
+
+
 def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
     if getattr(args, "json", False):
         report = {"schema": SCHEMA_VERSION, **report}
@@ -236,8 +243,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError(f"invalid stream: {reason}")
     if unusable is not None:
         raise unusable
-    for w in dispatch_warnings:  # at a fixed location: no path, line or source of ours
-        warnings.warn_explicit(w.message, w.category, "permstream", 0)
+    _show_plainly(dispatch_warnings)
     rep = detector.finish()
 
     agree = oracle_verdict = None

@@ -20,14 +20,15 @@ relative order is one comparison of the extreme candidates.  The sweep
 stops as soon as no z is left after y.  A position-order loop places the
 prefix (a single start value for length-4 patterns, nothing for length 3)
 and stops at the first prefix the sweep completes.  The witness is then
-picked greedily, slot by slot: x at the first position from which the
-other two slots can follow (one scan per candidate, and only positions
-before the y the sweep found are candidates), y as the first the sweep
-returns with x fixed, and z by a scan.  So it is the
-position-lexicographically first occurrence, as the oracle's.
+picked greedily, slot by slot: x at the least position s such that a
+sweep taking x only at or before s completes, searched for from the first
+value that fits x's interval with a step that doubles while sweeps fail,
+then by bisection; y as the first the sweep returns with x fixed, and z
+by a scan.  So it is the position-lexicographically first occurrence, as
+the oracle's.
 
-The prefix loop and the choice of x skip each candidate that a failed one
-at the same slot, after the same earlier values, *dominates*
+The prefix loop skips each candidate that a failed one at the same slot,
+after the same earlier values, *dominates*
 (:func:`_undominated`): every completion of it would have completed the
 failed one, so it fails too and the first occurrence stays.  When the
 later slots a slot bounds all lie on one side of it, every candidate on
@@ -41,10 +42,10 @@ of ones less the values at or before its start, one store each, so one that
 stops early never reads the rest of the buffer.  Counting a scan as one
 step, a sweep costs O(m), so deciding costs O(m) for a length-3 pattern,
 O(m^2) for length 4 and O(m^(k-2)) for length k, against the oracle's about
-O(m^k) on streams that avoid the pattern; the witness adds at most O(m^2).
-The skipping costs two stores and at most four scans per candidate, and
-one map after a loop's first failed sweep or scan, so it keeps these
-bounds.  Extra memory is O(m) cells for the ranks of a ``seq`` buffer and
+O(m^k) on streams that avoid the pattern; the witness adds O(log m)
+sweeps.  The skipping costs two stores and at most four scans per
+candidate, and one map after a loop's first failed sweep, so it keeps
+these bounds.  Extra memory is O(m) cells for the ranks of a ``seq`` buffer and
 O(k) maps of m + 1 bytes; nothing is sized from n or from the values.
 
 The trivial rejector serves patterns longer than the universe: nothing can
@@ -244,16 +245,35 @@ def _close(
     intervals the prefix leaves for them.
     """
     m = len(values)
-    first_y = _sweep(values, start, m, slots, bounds)
-    if first_y is None:
+    # some completion has its x before hi, and none before lo (no value there fits)
+    hi = _sweep(values, start, m, slots, bounds)
+    if hi is None:
         return None
-    # some completion puts x before first_y, so the first x is there too
     lx, hx = bounds[0]
-    x = next(
-        x for x in _undominated(values, start, first_y, lx, hx, _sides(slots[0], slots[1:]))
-        if _pair_follows(values, x, slots, bounds)
-    )
-    y = _sweep(values, x, x + 1, slots, bounds)  # x alone between
+
+    def sweep_x_in(a: int, b: int) -> int | None:
+        # x takes only the values at a..b-1, which also bound y and z: a sweep
+        # that fails then stops once the z this leaves run out
+        xs = [v for v in values[a:b] if lx < v < hx]
+        if not xs:
+            return None
+        low, high = min(xs), max(xs)
+        narrowed = [(low - 1, high + 1)] + [  # y and z: above low or below high
+            (max(bl, low), bh) if slots[0] < slot else (bl, min(bh, high))
+            for (bl, bh), slot in zip(bounds[1:], slots[1:])
+        ]
+        return _sweep(values, a, b, slots, narrowed)
+
+    lo = next(p for p in range(start, hi) if lx < values[p] < hx)
+    step = 1
+    while hi - lo > 1:  # s from lo + 1, the step doubling while sweeps fail, then halving
+        s = min(lo + step, (lo + hi) // 2)
+        if sweep_x_in(lo, s) is None:
+            lo, step = s, 2 * step
+        else:
+            hi = s
+    x = lo
+    y = sweep_x_in(x, x + 1)
     # z: the first value after y on the pattern's side of x's and y's values
     lz, hz = _narrow(bounds[2], slots[2], ((values[x], slots[0]), (values[y], slots[1])))
     z = next(z for z in range(y + 1, m) if lz < values[z] < hz)
@@ -269,25 +289,6 @@ def _narrow(bound: tuple[int, int], slot: int, fixed) -> tuple[int, int]:
         else:
             hi = min(hi, v)
     return lo, hi
-
-
-def _pair_follows(
-    values: Sequence[int], x: int, slots: Sequence[int], bounds: Sequence[tuple[int, int]]
-) -> bool:
-    """Whether slots y and z can follow slot x at position ``x``, by one scan."""
-    px, py, pz = slots
-    fixed = ((values[x], px),)
-    yl, yh = _narrow(bounds[1], py, fixed)
-    zl, zh = _narrow(bounds[2], pz, fixed)
-    z_above = pz > py
-    best = None  # the y value that admits the most z: the least if z lies above y
-    for i in range(x + 1, len(values)):
-        v = values[i]
-        if best is not None and zl < v < zh and (best < v if z_above else v < best):
-            return True
-        if yl < v < yh and (best is None or (v < best if z_above else best < v)):
-            best = v
-    return False
 
 
 def _sweep(

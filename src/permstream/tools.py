@@ -31,6 +31,7 @@ from .cli import (
     _file_chunks,
     _occurrence_json,
     _parse_pattern_arg,
+    _show_plainly,
     _stream_chunks,
 )
 from .core import (
@@ -189,7 +190,10 @@ def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.input is None:
         raise UsageError("extend needs --input FILE")
     source = _checked_stream(_file_chunks(args.input))
-    out = extend_stream(source)
+    with warnings.catch_warnings(record=True) as caught:  # extend warns on a seq stream
+        warnings.simplefilter("always")
+        out = extend_stream(source)
+    _show_plainly(caught)
     text = format_stream_text(
         out, comments=[f"extend of {args.input} (n={source.n} -> {out.n})"]
     )

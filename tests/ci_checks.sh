@@ -27,6 +27,11 @@ permstream detect --pattern 12 --values 1000000000000000,1 --n 1000000000000000 
 permstream detect --pattern 312 --values 3,1,2 --n 3 --mode seq 2> "$tmp/warning.err"
 echo "permstream:0: UserWarning: no sublinear sequence-mode detector for 312; falling back to the full-storage baseline" > "$tmp/warning.want"
 cmp "$tmp/warning.err" "$tmp/warning.want"
+# and so is extend's warning on a seq stream
+printf 'n=5 mode=seq\n3 1 5\n' > "$tmp/seq.txt"
+permstream gen --construction extend --input "$tmp/seq.txt" > /dev/null 2> "$tmp/extend.err"
+echo "permstream:0: UserWarning: extending a sequence-mode stream: the transform is defined, but the containment equivalence is stated for permutations" > "$tmp/extend.want"
+cmp "$tmp/extend.err" "$tmp/extend.want"
 # each family's module loads when its detector is first built: reach every such import
 permstream detect --pattern 321 --values 3,1,2 --n 3 --detector monotone
 permstream detect --pattern 312 --values 3,1,2,4 --n 4 --detector 312
@@ -59,6 +64,14 @@ permstream fuzz --construction 2143 --nsets 5 --exhaustive
 # buffered values, never from the values or from n
 permstream fuzz --construction seq312 --nsets 5 --exhaustive
 permstream detect --pattern 2413 --values 2000000000000,4000000000000,1000000000000,3000000000000 --n 1000000000000000 --mode seq --check
+# the baseline's search for a late witness: the layered 312-avoider on 1000
+# values, sparse, with its last two values swapped, so its first 312 starts
+# in the last layer; --check fails unless the oracle agrees and the witness holds
+late312=$(python -c 'from permstream.streaming.window312 import Detector312
+v = Detector312(1000).adversary()
+v[-2:] = v[:-3:-1]
+print(",".join(str(3 * x) for x in v))')
+permstream detect --pattern 312 --values "$late312" --n 3000 --mode seq --check
 # each subcommand imports what it needs when it runs: reach every such import
 permstream detect --pattern 312 --values 3,1,2 --n 3 --check
 permstream oracle --pattern 312 --values 3,1,2,4 --n 4 --count --split 2

@@ -36,6 +36,14 @@ def random_perm(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(values)
 
 
+def avoider_231(n: int, rng: random.Random) -> list[int]:
+    """A random 231-avoider: alpha, n, beta with alpha below beta, recursively."""
+    if n == 0:
+        return []
+    k = rng.randrange(n)
+    return avoider_231(k, rng) + [n] + [x + k for x in avoider_231(n - 1 - k, rng)]
+
+
 def powerset(iterable):
     items = list(iterable)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))

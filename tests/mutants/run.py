@@ -402,6 +402,40 @@ MUTANTS = (
         ("tests/test_baseline.py::test_the_sweep_returns_the_first_completing_y",),
     ),
     Mutant(
+        # the witness's x is one past the last position with no completion before it
+        "baseline-witness-x-at-the-search-top",
+        "permstream/streaming/baseline.py",
+        "    x = lo\n",
+        "    x = hi\n",
+        ("tests/test_baseline.py::test_late_first_occurrences_match_the_oracle[231-1000]",),
+    ),
+    Mutant(
+        # each probe leaves out the candidate at lo, which no probe has ruled out
+        "baseline-witness-probe-past-lo",
+        "permstream/streaming/baseline.py",
+        "        if sweep_x_in(lo, s) is None:\n",
+        "        if sweep_x_in(lo + 1, s) is None:\n",
+        ("tests/test_baseline.py::test_late_first_occurrences_match_the_oracle[3142-200]",),
+    ),
+    Mutant(
+        # y and z are bounded by the x values on their wrong side, so a probe
+        # misses completions
+        "baseline-witness-narrowed-from-the-wrong-end",
+        "permstream/streaming/baseline.py",
+        "(max(bl, low), bh) if slots[0] < slot else (bl, min(bh, high))",
+        "(max(bl, high), bh) if slots[0] < slot else (bl, min(bh, low))",
+        ("tests/test_baseline.py::test_late_first_occurrences_match_the_oracle[213-1000]",),
+    ),
+    Mutant(
+        # the answers stay right: the search steps one position at a time, one
+        # sweep each, so it reads O(m^2) values
+        "baseline-witness-step-never-widens",
+        "permstream/streaming/baseline.py",
+        "            lo, step = s, 2 * step\n",
+        "            lo = s\n",
+        ("tests/test_baseline.py::test_the_witness_search_reads_o_m_log_m_values",),
+    ),
+    Mutant(
         # a malformed stream is built: parse_stream_text returns it
         "stream-instance-never-raises",
         "permstream/core.py",

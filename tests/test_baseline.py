@@ -4,8 +4,9 @@ The baseline decides containment with its own sweep matcher
 (`permstream.streaming.baseline.first_occurrence`); these tests compare its
 verdict and its occurrence, which must be the position-lexicographically
 first one, with `contains_bruteforce`, check its sweep alone against a
-brute-force search, and pin the space telemetry the baseline reports and the
-work its pruning saves.  The last two tests check
+brute-force search, and pin the space telemetry the baseline reports, the
+work its pruning saves and the values its witness search reads.  The last
+two tests check
 that the detector modules and the oracle import nothing from each other, so
 that these comparisons can fail.
 """
@@ -13,6 +14,7 @@ that these comparisons can fail.
 from __future__ import annotations
 
 import ast
+import math
 import random
 import subprocess
 import sys
@@ -43,7 +45,7 @@ from permstream.hardgen import (
 from permstream import oracle, streaming
 from permstream.streaming import baseline as baseline_module
 from permstream.streaming.baseline import first_occurrence
-from conftest import all_patterns, perm_instance, random_perm, seq_instance
+from conftest import all_patterns, avoider_231, perm_instance, random_perm, seq_instance
 
 
 def run_baseline(inst: StreamInstance, pattern):
@@ -262,6 +264,72 @@ def test_the_sweep_returns_the_first_completing_y():
         start = rng.randrange(n - 2)
         x_stop = rng.choice((start + 1, rng.randint(start + 1, n)))
         check(tau, start, x_stop, rng.sample((1, 2, 3), 3), bounds)
+
+
+# -- late first occurrences: the search for the witness's x runs long ---------------
+
+#: (reverse, complement) that take a 231-avoider to an avoider of each 3-pattern;
+#: 4231, 2413 and 3142 contain 231, so a 231-avoider avoids them as it is
+TO_AVOIDER = {"231": (False, False), "132": (True, False), "213": (False, True), "312": (True, True)}
+
+
+def late_occurrence(name: str, m: int, rng: random.Random) -> list[int]:
+    """A seeded avoider of pattern ``name`` on 1..m, with the pattern planted late.
+
+    The values at len(name) random positions among the last 3 % are
+    rearranged into the pattern's order, so every occurrence uses one of them.
+    """
+    reverse, complement = TO_AVOIDER.get(name, (False, False))
+    values = avoider_231(m, rng)
+    if complement:
+        values = [m + 1 - v for v in values]
+    if reverse:
+        values.reverse()
+    at = sorted(rng.sample(range(m - max(len(name), m * 3 // 100), m), len(name)))
+    ordered = sorted(values[p] for p in at)
+    for p, r in zip(at, name):
+        values[p] = ordered[int(r) - 1]
+    return values
+
+
+@pytest.mark.parametrize("name, m", [
+    ("312", 1000), ("132", 1000), ("231", 1000), ("213", 1000),
+    ("4231", 200), ("2413", 200), ("3142", 200),
+])
+def test_late_first_occurrences_match_the_oracle(name, m):
+    # as a permutation, then as sparse seq values, which the matcher ranks first
+    rng = random.Random(int(name))
+    values = late_occurrence(name, m, rng)
+    sparse = sorted(rng.sample(range(10**12, 10**12 + 10**9), m))
+    pattern = parse_pattern(name)
+    for inst in (perm_instance(values), seq_instance(tuple(sparse[v - 1] for v in values), 10**15)):
+        assert assert_matches_oracle(inst, pattern)
+    # x lies far past the first value that fits its interval, so the search
+    # widens its step many times, then bisects
+    assert first_occurrence(values, pattern.values)[-3] > m // 2
+
+
+def test_the_witness_search_reads_o_m_log_m_values():
+    # A late 312 at m = 4000.  Each sweep reads O(m) values and the search for
+    # x makes O(log m) of them; a scan from each candidate x would read O(m^2).
+    m = 4000
+    values = late_occurrence("312", m, random.Random(4000))
+    reads = 0
+
+    class Counted(list):
+        """A buffer that counts its reads at one index."""
+
+        def __getitem__(self, i):
+            nonlocal reads
+            if isinstance(i, int):
+                reads += 1
+            return super().__getitem__(i)
+
+    # the values are 1..m, so the matcher reads this buffer as its ranks
+    found = first_occurrence(Counted(values), (3, 1, 2))
+    x, y, z = (values[p] for p in found)
+    assert y < z < x and found[0] > m // 2
+    assert reads <= 5 * m * math.ceil(math.log2(m))  # 240 000
 
 
 def test_sparse_sequence_values_far_above_the_stream_length():

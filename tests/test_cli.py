@@ -942,6 +942,19 @@ def test_detect_warning_is_one_line_at_a_fixed_place(flags, stderr):
     assert proc.stdout.startswith("pattern 312 in stream of 3 values (n=3, mode=seq): CONTAINED\n")
 
 
+def test_gen_extend_warning_is_one_line_at_a_fixed_place(tmp_path):
+    src = tmp_path / "seq.txt"
+    src.write_text("n=5 mode=seq\n3 1 5\n")
+    argv = ["gen", "--construction", "extend", "--input", str(src)]
+    proc = subprocess.run([sys.executable, "-m", "permstream.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, (
+        "permstream:0: UserWarning: extending a sequence-mode stream: the transform is "
+        "defined, but the containment equivalence is stated for permutations\n"
+    ))
+    assert parse_stream_text(proc.stdout).elements == (6, 2, 10, 1, 3, 5, 7, 9)
+
+
 def test_module_entry_runs_the_lab_subcommands():
     # Under -m, cli runs as __main__ and tools imports it by name: a second
     # copy of cli would raise a UsageError that main does not catch.

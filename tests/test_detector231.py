@@ -17,7 +17,7 @@ from permstream import (
     parse_pattern,
 )
 from permstream.streaming.strips231 import scan_231, widest_gap_hull
-from conftest import perm_instance, random_perm
+from conftest import avoider_231, perm_instance, random_perm
 
 P231 = parse_pattern("231")
 
@@ -76,14 +76,6 @@ def gap_hull_quadratic(seq):
                 lows.append(a)
                 highs.append(b)
     return (min(lows), max(highs)) if lows else None
-
-
-def avoider_231(n, rng):
-    """A random 231-avoider: alpha, n, beta with alpha below beta, recursively."""
-    if n == 0:
-        return []
-    k = rng.randrange(n)
-    return avoider_231(k, rng) + [n] + [x + k for x in avoider_231(n - 1 - k, rng)]
 
 
 def mirror(seq, top):
