@@ -4,9 +4,10 @@
 detector accepts within a few values.  On a large ``perm`` file the back
 half's tokenizing and validation can then run on a second CPU: once the
 detector has accepted, :func:`split_chunks` forks a :class:`BackHalf`
-helper for the bytes from ``mid``, the first line start at or after the
-byte midpoint, and yields the values before ``mid`` itself: the byte reader
-under the text reader stops at ``mid``, so the text reads as ending there.
+helper for the bytes from ``mid``, the first line start in the 64 KiB
+from the byte midpoint, and yields the values before ``mid`` itself: the
+byte reader under the text reader stops at ``mid``, so the text reads as
+ending there (a file with no line start there is read by one process).
 At ``mid`` the helper's half is taken only when the two halves together
 are exactly a permutation of [1, n], the one case where the answer is
 known without reading on.  Otherwise the helper is killed and the rest is
@@ -40,18 +41,6 @@ def may_fork_helper() -> bool:
     except OSError:
         threads = threading.active_count()
     return threads == 1 and (cpus or 1) >= 2
-
-
-def line_start_past_middle(fd: int, size: int) -> int | None:
-    """The offset just past the first ``\\n`` at or after the file's byte
-    midpoint, or None when no line starts there before the end or the file
-    cannot be mapped: it is then read by one process."""
-    try:
-        with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as data:
-            mid = data.find(b"\n", size // 2) + 1
-            return mid if 0 < mid < len(data) else None
-    except (OSError, ValueError):  # no mmap on this file system, or the file is empty now
-        return None
 
 
 class _Pread(io.RawIOBase):
@@ -145,12 +134,13 @@ def split_chunks(fh: io.TextIOWrapper, settled: Callable[[], StreamValidator | N
     ``settled()`` gives the caller's validator once the detector has accepted
     and no value read so far is wrong, and None before.  At the first chunk
     after which it does, and if :func:`may_fork_helper`, a helper is forked
-    for the bytes from ``mid``, the first line start at or after the byte
-    midpoint, and ``fh.buffer``, a ``cli._CountedReads``, stops at ``mid``.
+    for the bytes from ``mid``, the first line start in the 64 KiB from the
+    byte midpoint, and ``fh.buffer``, a ``cli._CountedReads``, stops at ``mid``.
     There the helper's half is taken if the answer is still settled and
     :meth:`BackHalf.take` allows it; otherwise the helper is killed and the
     rest is read here.  A stream that never settles forks no helper, and one
-    whose reading has passed ``mid`` by then is read here whole.
+    whose reading has passed ``mid`` by then, or with no such line start,
+    is read here whole.
     """
     chunks = iter_stream_text(fh)
     header = next(chunks)
@@ -168,9 +158,12 @@ def split_chunks(fh: io.TextIOWrapper, settled: Callable[[], StreamValidator | N
     reads = fh.buffer
     fd = fh.fileno()
     size = os.fstat(fd).st_size
+    # just past the first newline in the 64 KiB from the byte midpoint; with
+    # none there mid is size // 2, and with the file's last byte it is size
+    mid = size // 2 + os.pread(fd, 1 << 16, size // 2).find(b"\n") + 1
     # a valid perm file has at least one byte per value, so the map stays small
-    mid = line_start_past_middle(fd, size) if 0 < n <= size and may_fork_helper() else None
-    if mid is None or reads.count > mid:
+    if not (0 < n <= size and size // 2 < mid < size and reads.count <= mid
+            and may_fork_helper()):
         yield from chunks
         return
     try:

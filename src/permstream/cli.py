@@ -174,9 +174,13 @@ def _occurrence_json(occ) -> dict | None:
 
 def _show_plainly(caught: list[warnings.WarningMessage]) -> None:
     """Show caught warnings at a fixed place, ``permstream:0``: one line each,
-    with no path, line or source of ours (``-W`` still selects them)."""
+    with no path, line or source of ours (``-W`` still selects them).  One
+    that the filters make an error (``-W error``) is raised as a UsageError."""
     for w in caught:
-        warnings.warn_explicit(w.message, w.category, "permstream", 0)
+        try:
+            warnings.warn_explicit(w.message, w.category, "permstream", 0)
+        except Warning as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:

@@ -4,7 +4,9 @@ Everything here favours obvious correctness over speed.  The detectors in
 :mod:`permstream.streaming` are validated against these functions, so the two
 share no code: no detector module imports this one and this one imports no
 detector module (``tests/test_baseline.py`` checks both).  Containment and
-counting are one exhaustive search over the pattern slots.  It skips a slot
+counting are one exhaustive search over the pattern slots, which keeps one
+scan per slot on a list, so a pattern of any length runs without
+recursion.  It skips a slot
 that no later value can fill, which the stream's suffix minima and maxima
 decide in one step, and builds those two lists only once its scans have
 covered m positions, so a search that finds an occurrence early never pays
@@ -34,7 +36,10 @@ def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, 
 
     ``inst`` is valid by construction.  The search fills pattern slots left
     to right and tries each slot's positions in increasing order, so the
-    tuples come out in lexicographic order.  The values chosen for slots 0..d-1 are
+    tuples come out in lexicographic order.  A slot's scan stops where a
+    candidate enters the next slot and resumes once that slot's scan has
+    ended, as a recursive search would, but on lists indexed by slot, so
+    no Python frame is taken per slot.  The values chosen for slots 0..d-1 are
     order-isomorphic to the pattern's first d values, so the values slot d may
     take form one open interval (lo, hi), fixed once slot d - 1 is chosen: lo
     is the largest chosen value the pattern puts below slot d (0 if none), hi
@@ -71,17 +76,17 @@ def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, 
         above = [j for j in range(d) if pat[j] > pat[d]]
         low.append(max(below, key=pat.__getitem__, default=k))
         high.append(min(above, key=pat.__getitem__, default=k + 1))
+    # the scan of each slot d up to depth began at starts[d] and is at index[d]
     index = [0] * k
+    starts = [0] * k
     # the suffix minima and maxima of the docstring, empty until built
     least: list[int] = []
     greatest: list[int] = []
     scanned = 0  # positions covered by the slot scans that ran to their end
-
-    def search(depth: int, start: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        nonlocal least, greatest, scanned
-        # m - k + depth is the last index leaving room to finish.
-        stop = m - k + depth + 1
-        for idx in range(start, stop):
+    depth, idx, lo, hi = 0, 0, 0, inst.n + 1
+    stop = m - k + 1  # m - k + depth is the last index leaving room to finish
+    while True:
+        for idx in range(idx, stop):
             v = values[idx]
             if lo < v < hi:
                 index[depth] = idx
@@ -92,13 +97,20 @@ def _occurrences(inst: StreamInstance, pattern: Pattern) -> Iterator[tuple[int, 
                 next_lo, next_hi = chosen[low[depth + 1]], chosen[high[depth + 1]]
                 if least and (least[idx + 1] >= next_hi or greatest[idx + 1] <= next_lo):
                     continue  # no value past idx can fill the next slot
-                yield from search(depth + 1, idx + 1, next_lo, next_hi)
-        scanned += stop - start
-        if scanned > m and not least:
-            least = list(accumulate(reversed(values), min))[::-1]
-            greatest = list(accumulate(reversed(values), max))[::-1]
-
-    return search(0, 0, 0, inst.n + 1)
+                break  # enter the next slot
+        else:  # the scan ran to its end: resume the one before
+            scanned += stop - starts[depth]
+            if scanned > m and not least:
+                least = list(accumulate(reversed(values), min))[::-1]
+                greatest = list(accumulate(reversed(values), max))[::-1]
+            if depth == 0:
+                return
+            depth, stop = depth - 1, stop - 1
+            idx, lo, hi = index[depth] + 1, chosen[low[depth]], chosen[high[depth]]
+            continue
+        depth, stop = depth + 1, stop + 1
+        starts[depth] = idx = idx + 1
+        lo, hi = next_lo, next_hi
 
 
 def contains_bruteforce(inst: StreamInstance, pattern: Pattern) -> Occurrence | None:

@@ -19,7 +19,9 @@ is one ``find`` or ``rfind`` over that interval of a map, and their
 relative order is one comparison of the extreme candidates.  The sweep
 stops as soon as no z is left after y.  A position-order loop places the
 prefix (a single start value for length-4 patterns, nothing for length 3)
-and stops at the first prefix the sweep completes.  The witness is then
+and stops at the first prefix the sweep completes.  It keeps one iterator
+of candidates per placed slot on a list, not a Python frame, so a pattern
+of any length runs without recursion.  The witness is then
 picked greedily, slot by slot: x at the least position s such that a
 sweep taking x only at or before s completes, searched for from the first
 value that fits x's interval with a step that doubles while sweeps fail,
@@ -145,23 +147,26 @@ def first_occurrence(values: Sequence[int], pattern: Sequence[int]) -> tuple[int
         for d in range(j)
     ]
 
-    def place(d: int, start: int) -> tuple[int, ...] | None:
+    # one iterator of candidates per prefix slot placed so far, the last one's
+    # resumed when every completion of its last candidate has failed
+    slots: list[Iterator[int]] = []
+    start = 0
+    while True:
+        d = len(slots)
         if d == j:
-            bounds = [(val[a], val[b]) for a, b in last]
-            return _close(values, start, pattern[j:], bounds)
-        stop, lo, hi = m - (k - d) + 1, val[lower[d]], val[upper[d]]
-        for p in _undominated(values, start, stop, lo, hi, sides[d]):
-            pos[d] = p
-            val[d] = values[p]
-            found = place(d + 1, p + 1)
+            found = _close(values, start, pattern[j:], [(val[a], val[b]) for a, b in last])
             if found is not None:
-                return found
-        return None
-
-    found = place(0, 0)
-    if found is None:
-        return None
-    return tuple(pos) + found
+                return tuple(pos) + found
+        else:
+            stop, lo, hi = m - (k - d) + 1, val[lower[d]], val[upper[d]]
+            slots.append(_undominated(values, start, stop, lo, hi, sides[d]))
+        while slots and (p := next(slots[-1], None)) is None:
+            slots.pop()
+        if not slots:
+            return None
+        d = len(slots) - 1
+        pos[d], val[d] = p, values[p]
+        start = p + 1
 
 
 def _sides(at: int, bounded: Sequence[int]) -> tuple[bool, bool]:

@@ -32,6 +32,14 @@ printf 'n=5 mode=seq\n3 1 5\n' > "$tmp/seq.txt"
 permstream gen --construction extend --input "$tmp/seq.txt" > /dev/null 2> "$tmp/extend.err"
 echo "permstream:0: UserWarning: extending a sequence-mode stream: the transform is defined, but the containment equivalence is stated for permutations" > "$tmp/extend.want"
 cmp "$tmp/extend.err" "$tmp/extend.want"
+# a warning that -W error makes an error is one line too, with exit code 2
+code=0
+python -W error -m permstream.cli detect --pattern 312 --values 3,1,2 --n 3 --mode seq \
+  > "$tmp/werror.out" 2> "$tmp/werror.err" || code=$?
+test "$code" = 2
+test ! -s "$tmp/werror.out"
+echo "error: no sublinear sequence-mode detector for 312; falling back to the full-storage baseline" > "$tmp/werror.want"
+cmp "$tmp/werror.err" "$tmp/werror.want"
 # each family's module loads when its detector is first built: reach every such import
 permstream detect --pattern 321 --values 3,1,2 --n 3 --detector monotone
 permstream detect --pattern 312 --values 3,1,2,4 --n 4 --detector 312
@@ -72,6 +80,12 @@ v = Detector312(1000).adversary()
 v[-2:] = v[:-3:-1]
 print(",".join(str(3 * x) for x in v))')
 permstream detect --pattern 312 --values "$late312" --n 3000 --mode seq --check
+# a pattern of 1500 values, 2 1 3 4 ... 1500, on 2 1 3 4 ... 3000: neither
+# the baseline's search nor the oracle's takes a Python frame per slot
+ints='import sys; print(",".join(map(str, [2, 1, *range(3, int(sys.argv[1]) + 1)])))'
+permstream detect --pattern "$(python -c "$ints" 1500)" --values "$(python -c "$ints" 3000)" --n 3000 \
+  --check > "$tmp/long.out" 2> "$tmp/long.err"
+test "$(tail -n 1 "$tmp/long.out")" = "oracle cross-check: agree"
 # each subcommand imports what it needs when it runs: reach every such import
 permstream detect --pattern 312 --values 3,1,2 --n 3 --check
 permstream oracle --pattern 312 --values 3,1,2,4 --n 4 --count --split 2

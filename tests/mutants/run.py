@@ -436,6 +436,22 @@ MUTANTS = (
         ("tests/test_baseline.py::test_the_witness_search_reads_o_m_log_m_values",),
     ),
     Mutant(
+        # each later prefix slot skips the position right after the one before it
+        "baseline-prefix-resumes-past-the-next-position",
+        "permstream/streaming/baseline.py",
+        "        start = p + 1\n",
+        "        start = p + 2\n",
+        ("tests/test_baseline.py::test_every_permutation_up_to_6_and_pattern_of_length_5",),
+    ),
+    Mutant(
+        # the later slots are bounded by the value of a failed candidate
+        "baseline-prefix-value-left-stale",
+        "permstream/streaming/baseline.py",
+        "        pos[d], val[d] = p, values[p]\n",
+        "        pos[d] = p\n",
+        ("tests/test_baseline.py::test_every_permutation_up_to_7_and_pattern_up_to_4",),
+    ),
+    Mutant(
         # a malformed stream is built: parse_stream_text returns it
         "stream-instance-never-raises",
         "permstream/core.py",
@@ -498,8 +514,8 @@ MUTANTS = (
         # every slot is scanned in full: the output stays right, the work is O(m^k)
         "oracle-lists-never-built",
         "permstream/oracle.py",
-        "        if scanned > m and not least:\n",
-        "        if scanned < 0 and not least:\n",
+        "            if scanned > m and not least:\n",
+        "            if scanned < 0 and not least:\n",
         ("tests/test_oracle.py::test_a_one_sided_last_slot_is_skipped_when_no_later_value_fits",),
     ),
     Mutant(
@@ -523,13 +539,29 @@ MUTANTS = (
         # a scan is charged when the slot is entered, so one left through a yield counts
         "oracle-scan-charged-on-entry",
         "permstream/oracle.py",
-        "        for idx in range(start, stop):\n",
-        "        scanned += stop - start\n"
+        "        starts[depth] = idx = idx + 1\n",
+        "        starts[depth] = idx = idx + 1\n"
+        "        scanned += stop - idx\n"
         "        if scanned > m and not least:\n"
         "            least = list(accumulate(reversed(values), min))[::-1]\n"
-        "            greatest = list(accumulate(reversed(values), max))[::-1]\n"
-        "        for idx in range(start, stop):\n",
+        "            greatest = list(accumulate(reversed(values), max))[::-1]\n",
         ("tests/test_oracle.py::test_an_early_occurrence_never_builds_the_lists",),
+    ),
+    Mutant(
+        # every scan ends one position early, so the last position is never a slot
+        "oracle-scan-ends-one-early",
+        "permstream/oracle.py",
+        "    stop = m - k + 1  #",
+        "    stop = m - k  #",
+        ("tests/test_oracle.py::test_contains_matches_reference_exhaustively",),
+    ),
+    Mutant(
+        # a resumed scan keeps the interval of the slot after it
+        "oracle-resumed-scan-keeps-the-deeper-bounds",
+        "permstream/oracle.py",
+        "            idx, lo, hi = index[depth] + 1, chosen[low[depth]], chosen[high[depth]]\n",
+        "            idx = index[depth] + 1\n",
+        ("tests/test_oracle.py::test_contains_matches_reference_exhaustively",),
     ),
     Mutant(
         # a front value repeated in the back half is taken for a permutation
@@ -559,16 +591,28 @@ MUTANTS = (
         # the value at the midpoint is read as two values, one in each half
         "split-mid-at-the-byte-midpoint",
         "permstream/backhalf.py",
-        "            mid = data.find(b\"\\n\", size // 2) + 1\n",
-        "            mid = size // 2\n",
+        "    mid = size // 2 + os.pread(fd, 1 << 16, size // 2).find(b\"\\n\") + 1\n"
+        "    # a valid perm file has at least one byte per value, so the map stays small\n"
+        "    if not (0 < n <= size and size // 2 < mid < size",
+        "    mid = size // 2\n"
+        "    if not (0 < n <= size and size // 2 <= mid < size",
         ("tests/test_cli.py::test_split_detect_matches_one_process[valid-False]",),
+    ),
+    Mutant(
+        # a window with no newline leaves mid at the byte midpoint, inside a value
+        "split-mid-taken-without-a-newline",
+        "permstream/backhalf.py",
+        "size // 2 < mid < size",
+        "size // 2 <= mid < size",
+        ("tests/test_cli.py::test_split_detect_matches_one_process[long-line-at-the-middle-False]",
+         "tests/test_cli.py::test_a_size_past_the_bytes_read_is_read_by_one_process"),
     ),
     Mutant(
         # the parent has read past mid: the helper's half is counted twice
         "split-cut-behind-the-reader",
         "permstream/backhalf.py",
-        "    if mid is None or reads.count > mid:\n",
-        "    if mid is None:\n",
+        " and reads.count <= mid\n",
+        "\n",
         ("tests/test_cli.py::test_split_detect_matches_one_process[accepted-past-the-middle-False]",),
     ),
     Mutant(

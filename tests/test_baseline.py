@@ -179,6 +179,13 @@ def test_pruning_work_is_pinned_on_a_front4_instance(monkeypatch):
     assert counts == {"_sweep": 12, "store": 438, "count": 12, "find": 137, "rfind": 50}
 
 
+def test_a_pattern_of_1500_values_needs_no_recursion():
+    # the prefix loop keeps one iterator per placed slot on a list, not one frame
+    k = 1500
+    stream = (2, 1, *range(3, 2 * k + 1))
+    assert first_occurrence(stream, stream[:k]) == tuple(range(k))
+
+
 def completes_at(values, pattern, p) -> bool:
     """Whether slot 0 of ``pattern`` at position ``p`` completes, by brute force."""
     order = sorted(range(len(pattern)), key=pattern.__getitem__)

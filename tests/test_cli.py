@@ -8,6 +8,8 @@ import re
 import signal
 import subprocess
 import sys
+import types
+import warnings
 
 import pytest
 
@@ -656,6 +658,7 @@ SPLIT_CASES = {
     "comments-on-both-sides": ("312", ["start", True]),
     "crlf": ("312", ["start", True]),
     "one-line": ("312", []),
+    "long-line-at-the-middle": ("312", []),  # no line start within 64 KiB past the midpoint
     "comments-before-the-header": ("312", []),
     "seq": ("312", []),
 }
@@ -683,6 +686,7 @@ def _split_inputs() -> dict[str, bytes]:
     early = list(range(1, SPLIT_N + 1))
     early[at : at + 3] = [at + 3, at + 1, at + 2]  # the first 312, after increasing values
     lines = valid.splitlines(keepends=True)
+    third = len(lines) // 3
     texts = {
         "valid": valid,
         "valid-231": valid,
@@ -701,6 +705,9 @@ def _split_inputs() -> dict[str, bytes]:
             "".join(line + ("# c\n" if i % 50 == 0 else "") for i, line in enumerate(lines)),
         "crlf": text(perm, eol="\r\n"),
         "one-line": f"n={SPLIT_N} mode=perm\n{' '.join(map(str, perm))}\n",
+        "long-line-at-the-middle": "".join(lines[:third])
+            + " ".join(line.rstrip("\n") for line in lines[third : 2 * third])
+            + "\n" + "".join(lines[2 * third :]),
         "comments-before-the-header": "# 123456789\n" * 140_000 + valid,
         "seq": text(perm[:-9], header=f"n={SPLIT_N} mode=seq"),
     }
@@ -810,23 +817,22 @@ def test_a_helper_the_kernel_reaps_changes_nothing(split_files, name):
     assert split.returncode == (0 if name == "valid" else 2)
 
 
-def test_a_file_that_cannot_be_mapped_is_read_by_one_process(split_files, tmp_path, monkeypatch, capsys):
-    path = tmp_path / "perm"
-    path.write_bytes(b"1\n2\n3\n4\n")
-    with open(path, "r+b") as fh:
-        assert backhalf.line_start_past_middle(fh.fileno(), 8) == 6
-        fh.truncate(0)  # emptied after its size was taken: mmap raises ValueError
-        assert backhalf.line_start_past_middle(fh.fileno(), 8) is None
+def test_a_size_past_the_bytes_read_is_read_by_one_process(split_files, monkeypatch, capsys):
+    # as when the file was truncated after its size was taken: the read at
+    # the byte midpoint finds no newline, so no helper is forked
+    def fstat(fd):
+        st = os.fstat(fd)
+        return os.stat_result((*st[:6], 2 * st.st_size, *st[7:]))
 
-    def no_mmap(fd, *args, **kwargs):
-        if fd == -1:  # the helper's anonymous map
-            return mmap_type(fd, *args, **kwargs)
-        raise OSError(19, "No such device")
-
-    mmap_type = backhalf.mmap.mmap
-    monkeypatch.setattr(backhalf.mmap, "mmap", no_mmap)
-    assert run_cli("detect", "--pattern", "312", "--input", str(split_files["valid"])) == 0
-    assert "accepted" in capsys.readouterr().out
+    starts = []
+    monkeypatch.setattr(backhalf, "os", types.SimpleNamespace(**{**vars(os), "fstat": fstat}))
+    monkeypatch.setattr(backhalf, "BackHalf", lambda *args: starts.append(args))
+    data = split_files["valid"].read_bytes()
+    code = run_cli("detect", "--pattern", "312", "--input", str(split_files["valid"]))
+    split = (code, *capsys.readouterr())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert split == (run_cli("detect", "--pattern", "312", "--input", "-"), *capsys.readouterr())
+    assert split[0] == 0 and starts == []
 
 
 # -- bench ---------------------------------------------------------------------
@@ -953,6 +959,30 @@ def test_gen_extend_warning_is_one_line_at_a_fixed_place(tmp_path):
         "defined, but the containment equivalence is stated for permutations\n"
     ))
     assert parse_stream_text(proc.stdout).elements == (6, 2, 10, 1, 3, 5, 7, 9)
+
+
+def test_detect_check_on_a_pattern_of_1200_values(capsys):
+    # the oracle's search runs one slot deeper per pattern value, with no recursion
+    pattern, values = (",".join(map(str, range(1, end))) for end in (1201, 1501))
+    assert run_cli("detect", "--pattern", pattern, "--values", values, "--n", "1500", "--check") == 0
+    assert capsys.readouterr().out.endswith("oracle cross-check: agree\n")
+
+
+@pytest.mark.parametrize("command", ["detect", "gen"])
+def test_a_warning_made_an_error_exits_2_with_its_message(tmp_path, capsys, command):
+    # as under -W error: the warning ends the command on one line, not a traceback
+    src = tmp_path / "seq.txt"
+    src.write_text("n=5 mode=seq\n3 1 5\n")
+    argv, message = {
+        "detect": (["detect", "--pattern", "312", "--input", str(src)], SEQ_WARNING),
+        "gen": (["gen", "--construction", "extend", "--input", str(src)], (
+            "permstream:0: UserWarning: extending a sequence-mode stream: the transform is "
+            "defined, but the containment equivalence is stated for permutations\n")),
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", "error: " + message.split(": ", 2)[2])
 
 
 def test_module_entry_runs_the_lab_subcommands():

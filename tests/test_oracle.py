@@ -222,6 +222,15 @@ def test_an_early_occurrence_never_builds_the_lists(builds):
     assert builds == []
 
 
+def test_a_pattern_of_1500_values_needs_no_recursion():
+    # the search keeps one scan per slot on a list, not one Python frame
+    k = 1500
+    stream = (2, 1, *range(3, 2 * k + 1))
+    pattern = parse_pattern(",".join(map(str, stream[:k])))
+    occ = contains_bruteforce(perm_instance(stream), pattern)
+    assert occ == Occurrence(positions=tuple(range(1, k + 1)), values=stream[:k])
+
+
 # -- counting -------------------------------------------------------------------
 
 
