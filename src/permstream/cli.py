@@ -146,14 +146,19 @@ def _stream_chunks(args: argparse.Namespace, settled: Callable | None = None) ->
     if args.values is not None:
         if args.n is None:
             raise UsageError("--values needs --n to fix the universe size")
-        try:
-            values = [parse_int(v) for v in args.values.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --values: {exc}") from exc
+        values = _int_list(args.values, "--values")
         yield (args.n, StreamMode.from_token(args.mode))
         yield values
         return
     raise UsageError("a stream is required: --input FILE or --values CSV --n N")
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    """The comma-separated ints of option ``what`` (:func:`parse_int`), in the order given."""
+    try:
+        return [parse_int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 def _parse_pattern_arg(text: str) -> Pattern:
@@ -252,14 +257,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     agree = oracle_verdict = None
     if kept is not None:
-        from .oracle import contains_bruteforce, occurrence_is_valid
+        from .oracle import judge_report
 
-        inst = StreamInstance(n, mode, kept)
-        oracle_verdict = contains_bruteforce(inst, pattern) is not None
-        occ = rep.occurrence  # a witness that does not hold is a disagreement too
-        agree = oracle_verdict == rep.verdict and (
-            occ is None or occurrence_is_valid(inst, pattern, occ)
-        )
+        oracle_verdict, agree = judge_report(StreamInstance(n, mode, kept), pattern, rep)
 
     human = [
         f"pattern {pattern} in stream of {check.count} values (n={n}, "

@@ -164,6 +164,18 @@ def occurrence_is_valid(
     return True
 
 
+def judge_report(inst: StreamInstance, pattern: Pattern, report) -> tuple[bool, bool]:
+    """The oracle's verdict on ``inst``, and whether a detector's ``report``
+    agrees with it: the same verdict, and any witness it reports passes
+    :func:`occurrence_is_valid`.  ``detect --check`` and ``fuzz`` both judge
+    a run here, so a ``fuzz`` replay file disagrees under ``detect --check``.
+    """
+    verdict = contains_bruteforce(inst, pattern) is not None
+    occ = report.occurrence
+    return verdict, verdict == report.verdict and (
+        occ is None or occurrence_is_valid(inst, pattern, occ))
+
+
 class SplitInput(Frozen):
     """A stream cut in two: Alice holds the prefix, Bob the suffix.
 

@@ -109,6 +109,15 @@ def _key(pattern: Pattern) -> str:
     return str(pattern)
 
 
+def _spelling(pattern: Pattern) -> str:
+    """The pattern as the CLI spells it, or past 60 characters its first ten
+    values and its length, so that a message about it stays one short line."""
+    text = str(pattern)
+    if len(text) <= 60:
+        return text
+    return f"{','.join(map(str, pattern.values[:10]))},… ({len(pattern)} values)"
+
+
 def new_detector(
     pattern: Pattern,
     n: int,
@@ -122,36 +131,31 @@ def new_detector(
     raises ValueError, whose message starts with the family's name.
     """
     key = _key(pattern)
-    if family != "auto":
-        forced = FAMILIES[family]
-        if forced.needs_perm and mode is not StreamMode.PERMUTATION:
-            raise ValueError(f"{family} needs a permutation stream (mode=perm)")
-        if forced.patterns is not None and key not in forced.patterns:
-            raise ValueError(f"{family} {forced.refusal.format(pattern=pattern)}")
-        return _build(forced, key, pattern, n, mode)
-    if len(pattern) > n:
-        from .baseline import TrivialRejectDetector
+    if family == "auto":
+        if len(pattern) > n:
+            from .baseline import TrivialRejectDetector
 
-        return TrivialRejectDetector(pattern, n, mode)
-    for fam in FAMILIES.values():
-        if fam.patterns is not None and key in fam.patterns:
-            if fam.needs_perm and mode is not StreamMode.PERMUTATION:
-                warnings.warn(
-                    f"no sublinear sequence-mode detector for {pattern}; "
-                    "falling back to the full-storage baseline",
-                    stacklevel=2,
-                )
-                return _baseline(pattern, n, mode)
-            return _build(fam, key, pattern, n, mode)
-    warnings.warn(
-        f"pattern {pattern} needs linear space (no sublinear one-pass detector "
-        "exists for it); using the full-storage baseline",
-        stacklevel=2,
-    )
-    return _baseline(pattern, n, mode)
-
-
-def _build(fam: Family, key: str, pattern: Pattern, n: int, mode: StreamMode) -> Detector:
+            return TrivialRejectDetector(pattern, n, mode)
+        family = next((name for name, fam in FAMILIES.items()
+                       if fam.patterns is not None and key in fam.patterns), "baseline")
+        if family == "baseline":
+            warnings.warn(
+                f"pattern {_spelling(pattern)} needs linear space (no sublinear one-pass "
+                "detector exists for it); using the full-storage baseline",
+                stacklevel=2,
+            )
+        elif FAMILIES[family].needs_perm and mode is not StreamMode.PERMUTATION:
+            warnings.warn(
+                f"no sublinear sequence-mode detector for {pattern}; "
+                "falling back to the full-storage baseline",
+                stacklevel=2,
+            )
+            family = "baseline"
+    fam = FAMILIES[family]
+    if fam.needs_perm and mode is not StreamMode.PERMUTATION:
+        raise ValueError(f"{family} needs a permutation stream (mode=perm)")
+    if fam.patterns is not None and key not in fam.patterns:
+        raise ValueError(f"{family} {fam.refusal.format(pattern=_spelling(pattern))}")
     # the native builders read no more of the served pattern than its length
     detector = fam.native(pattern, n, mode)
     if fam.patterns is not None and fam.patterns[key]:

@@ -29,6 +29,7 @@ from .cli import (
     UsageError,
     _emit,
     _file_chunks,
+    _int_list,
     _occurrence_json,
     _parse_pattern_arg,
     _show_plainly,
@@ -40,7 +41,6 @@ from .core import (
     StreamMode,
     collect_stream,
     format_stream_text,
-    parse_int,
     parse_pattern,
 )
 from .hardgen import (
@@ -57,6 +57,7 @@ from .oracle import (
     SplitInput,
     contains_bruteforce,
     count_occurrences,
+    judge_report,
     occurrence_is_valid,
     split_protocol,
 )
@@ -136,16 +137,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_ints(text: str | None, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text`` (:func:`parse_int`), in the order given."""
-    if not text:
-        return ()
-    try:
-        return tuple(map(parse_int, text.split(",")))
-    except ValueError as exc:
-        raise UsageError(f"bad {what}: {exc}") from exc
-
-
 #: what ``_build_construction`` builds: the disjointness constructions
 DISJOINTNESS = ("seq312", "front4:<pattern>", "4312", "3142", "2143")
 
@@ -204,8 +195,8 @@ def _gen_extend(args: argparse.Namespace) -> tuple[dict, Outputs]:
 def _gen_monotone_lb(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.k is None or args.n is None or not args.rho:
         raise UsageError("monotone-lb needs --k, --n, and --rho")
-    rho = _parse_ints(args.rho, "--rho")
-    sigma = _parse_ints(args.sigma, "--sigma") if args.sigma else None
+    rho = _int_list(args.rho, "--rho")
+    sigma = _int_list(args.sigma, "--sigma") if args.sigma else None
     try:
         result = gen_monotone_lb(args.k, args.n, rho, sigma)
     except ValueError as exc:
@@ -235,8 +226,9 @@ def _gen_disjointness(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.random_sets:
         s, t = random_subsets(args.nsets, random.Random(args.seed))
     else:
-        s = frozenset(_parse_ints(args.s, "--s"))
-        t = frozenset(_parse_ints(args.t, "--t"))
+        # an empty --s or --t is the empty set
+        s = frozenset(_int_list(args.s, "--s") if args.s else ())
+        t = frozenset(_int_list(args.t, "--t") if args.t else ())
     disj = _build_construction(args.construction, args.nsets, s, t, ("monotone-lb", "extend"))
     comments = [
         f"construction {args.construction} nsets={args.nsets} "
@@ -312,11 +304,8 @@ def _trial(payload: tuple[int, str | None, tuple]) -> dict | None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_detector(stream, pattern)
-    oracle_verdict = contains_bruteforce(stream, pattern) is not None
-    occ = report.occurrence
-    witness_holds = occ is None or occurrence_is_valid(stream, pattern, occ)
-    expected = sets.get("intersecting", oracle_verdict)
-    if witness_holds and report.verdict == oracle_verdict == expected:
+    oracle_verdict, agree = judge_report(stream, pattern, report)
+    if agree and oracle_verdict == sets.get("intersecting", oracle_verdict):
         return None
     record = {
         "trial": trial,
@@ -327,7 +316,8 @@ def _trial(payload: tuple[int, str | None, tuple]) -> dict | None:
         "oracle": oracle_verdict,
         **sets,
     }
-    if not witness_holds:
+    occ = report.occurrence
+    if occ is not None and not occurrence_is_valid(stream, pattern, occ):
         record["invalid_occurrence"] = _occurrence_json(occ)
     return record
 
@@ -502,10 +492,7 @@ def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     pattern = _parse_pattern_arg(args.pattern)
-    try:
-        sizes = [parse_int(v) for v in args.sizes.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad --sizes: {exc}") from exc
+    sizes = _int_list(args.sizes, "--sizes")
     if any(n < 1 for n in sizes):
         raise UsageError("--sizes must be positive")
     if args.trials < 0:

@@ -86,6 +86,11 @@ ints='import sys; print(",".join(map(str, [2, 1, *range(3, int(sys.argv[1]) + 1)
 permstream detect --pattern "$(python -c "$ints" 1500)" --values "$(python -c "$ints" 3000)" --n 3000 \
   --check > "$tmp/long.out" 2> "$tmp/long.err"
 test "$(tail -n 1 "$tmp/long.out")" = "oracle cross-check: agree"
+# its dispatch warning names the pattern by its first values and its length,
+# on one short line
+test "$(wc -l < "$tmp/long.err")" -eq 1
+test "$(wc -c < "$tmp/long.err")" -lt 200
+grep -q "1500 values" "$tmp/long.err"
 # each subcommand imports what it needs when it runs: reach every such import
 permstream detect --pattern 312 --values 3,1,2 --n 3 --check
 permstream oracle --pattern 312 --values 3,1,2,4 --n 4 --count --split 2

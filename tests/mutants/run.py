@@ -70,6 +70,17 @@ MUTANTS = (
         ("tests/test_cli.py::test_fuzz_reports_and_replays_the_first_disagreement",),
     ),
     Mutant(
+        # detect --check and fuzz both judge a run here: each must then miss
+        # a witness that does not hold
+        "judge-ignores-the-witness",
+        "permstream/oracle.py",
+        "    return verdict, verdict == report.verdict and (\n"
+        "        occ is None or occurrence_is_valid(inst, pattern, occ))\n",
+        "    return verdict, verdict == report.verdict\n",
+        ("tests/test_cli.py::test_detect_check_replays_an_invalid_witness",
+         "tests/test_cli.py::test_fuzz_reports_an_invalid_witness"),
+    ),
+    Mutant(
         "split-alice-fills-the-wrong-end",
         "permstream/oracle.py",
         "        split.prefix, set(split.suffix), first=False\n",
@@ -336,6 +347,27 @@ MUTANTS = (
         "        top = v\n"
         "    return first\n",
         ("tests/test_detector231.py::test_scan_231_finds_a_231_or_the_highest_starter",),
+    ),
+    Mutant(
+        # a strip that holds a 231 closes as one that avoids it: the counters
+        # still see it at finish, so only the accept position moves
+        "strips231-scan-ignores-the-231",
+        "permstream/streaming/strips231.py",
+        "        if v < popped:\n"
+        "            return -1\n",
+        "",
+        ("tests/test_detector231.py::"
+         "test_accepts_by_the_strip_or_the_value_that_completes_an_occurrence",),
+    ),
+    Mutant(
+        # each value pops at most one value below it: a lower starter can be
+        # left as the strip's highest
+        "strips231-scan-pops-at-most-one-value-per-push",
+        "permstream/streaming/strips231.py",
+        "            while stack[-1] < v:\n",
+        "            if stack[-1] < v:\n",
+        ("tests/test_detector231.py::"
+         "test_accepts_by_the_strip_or_the_value_that_completes_an_occurrence",),
     ),
     Mutant(
         "baseline-structure-peaks-unwritten",

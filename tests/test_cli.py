@@ -184,6 +184,12 @@ def test_gen_json_lists_sets(capsys):
     assert rep["stream"][:4] == [4, 2, 6, 8]
     assert rep["intersecting"] is True
     assert rep["s"] == [1, 3] and rep["t"] == [2, 3]
+    # an empty set is given as an empty list
+    assert run_cli(
+        "gen", "--construction", "front4:4231", "--nsets", "4", "--s", "", "--t", "2,3", "--json",
+    ) == 0
+    rep = json_out(capsys)
+    assert (rep["s"], rep["t"], rep["intersecting"]) == ([], [2, 3], False)
 
 
 def test_gen_random_sets_reproducible(capsys):
@@ -946,6 +952,23 @@ def test_detect_warning_is_one_line_at_a_fixed_place(flags, stderr):
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, stderr)
     assert proc.stdout.startswith("pattern 312 in stream of 3 values (n=3, mode=seq): CONTAINED\n")
+
+
+def test_a_long_pattern_is_named_by_its_first_values_and_its_length():
+    # a pattern spelled in more than 60 characters: the whole spelling of
+    # 2 1 3 ... 1500 would make each message about 7 KB
+    pattern = ",".join(map(str, [2, 1, *range(3, 1501)]))
+    named = "2,1,3,4,5,6,7,8,9,10,\u2026 (1500 values)"
+    argv = ["detect", "--pattern", pattern, "--values", "2,1", "--n", "1500", "--mode", "seq"]
+    runs = [subprocess.run([sys.executable, "-m", "permstream.cli", *argv, *flags],
+                           capture_output=True) for flags in ([], ["--detector", "monotone"])]
+    assert [(proc.returncode, proc.stderr.decode()) for proc in runs] == [
+        (0, f"permstream:0: UserWarning: pattern {named} needs linear space (no sublinear "
+            "one-pass detector exists for it); using the full-storage baseline\n"),
+        (2, f"error: --detector monotone cannot serve the pattern {named}\n"),
+    ]
+    for proc in runs:
+        assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 200
 
 
 def test_gen_extend_warning_is_one_line_at_a_fixed_place(tmp_path):

@@ -260,6 +260,32 @@ def test_matches_oracle_on_every_avoider_and_a_swap_of_each(n):
     assert by_scan > 100
 
 
+def shape(seq):
+    """The pattern ``seq`` forms: each value's rank among its values, from 1."""
+    ordered = sorted(seq)
+    return tuple(ordered.index(v) + 1 for v in seq)
+
+
+def test_accepts_by_the_strip_or_the_value_that_completes_an_occurrence():
+    # strips of 3 and 4 values on random permutations: the oracle alone gives
+    # the latest value each accept may come at, so an in-strip scan that
+    # misses a 231, or pops too little, shows even where the end-of-stream
+    # counters would put the verdict right
+    by_shape = lru_cache(maxsize=None)(oracle_231)  # shapes recur across streams
+    rng = random.Random(2310)
+    decided = 0
+    for trial in range(20_000):
+        n = 9 + trial % 8
+        stream = random_perm(n, rng)
+        latest, _ = oracle_accept(stream, lambda seq: by_shape(shape(seq)))
+        if latest is None:
+            continue
+        decided += 1
+        det = Detector231(n)
+        assert det._feed(stream) and det.pushes <= latest, stream
+    assert decided > 15_000
+
+
 def test_verdict_only_reporting():
     rng = random.Random(41)
     for _ in range(100):

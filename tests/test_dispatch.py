@@ -26,7 +26,7 @@ from permstream import (
 )
 from permstream.core import DENSE_FLOOR
 from permstream.streaming.dispatch import _key
-from conftest import all_patterns, perm_instance, random_perm, seq_instance
+from conftest import all_patterns, avoider_231, perm_instance, random_perm, seq_instance
 
 PERM = StreamMode.PERMUTATION
 SEQ = StreamMode.DISTINCT_SEQUENCE
@@ -345,3 +345,36 @@ def test_baseline_on_sequence_mode_matches_oracle():
         with pytest.warns(UserWarning):
             rep = run_detector(inst, p312)
         assert rep.verdict == (contains_bruteforce(inst, p312) is not None)
+
+
+def dispatched_verdict(pattern: str, stream: list[int]) -> bool:
+    det = new_detector(parse_pattern(pattern), len(stream))
+    det._feed(stream)
+    return det.finish().verdict
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_231_and_312_families_agree_under_the_symmetries_at_scale(n):
+    # 231 reversed is 132 and reverse-complemented is 312, and 213 reversed
+    # is 312: the strips detector against the window detector, with no oracle,
+    # on each one's adversary and on late near misses of 231-avoiders
+    rng = random.Random(n)
+    avoiders = [avoider_231(n, rng) for _ in range(2)]
+    near_misses = []
+    for avoider in avoiders:
+        i = rng.randrange(n - 50, n - 1)
+        stream = list(avoider)
+        stream[i], stream[i + 1] = stream[i + 1], stream[i]
+        near_misses.append(stream)
+    streams = [Detector231(n).adversary(), Detector312(n).adversary(), *avoiders, *near_misses]
+    contains_231 = []
+    for tau in streams:
+        reverse = tau[::-1]
+        v231 = dispatched_verdict("231", tau)
+        assert dispatched_verdict("132", reverse) == v231
+        assert dispatched_verdict("312", complement(reverse, n)) == v231
+        assert dispatched_verdict("312", reverse) == dispatched_verdict("213", tau)
+        contains_231.append(v231)
+    # the 231 adversary and the avoiders avoid 231 by construction, so those
+    # pairs meet at the end of the stream, not at an early accept
+    assert not any(contains_231[i] for i in (0, 2, 3))
