@@ -8,9 +8,9 @@ Exit codes: 0 on success (and on agreement for the checking commands), 1 when
 a verdict disagreement is found (``detect --check``, ``oracle --split``, or a
 ``fuzz`` counterexample), 2 on usage or I/O errors.
 
-All randomized commands take ``--seed``; identical seed and configuration
-reproduce identical results, and ``--json`` reports are byte-identical apart
-from the wall-time field.  ``fuzz`` writes any counterexample to a replay
+The randomized commands take ``--seed``.  Every command gives the same
+results for the same flags, and its ``--json`` reports are byte-identical
+apart from the wall-time field.  ``fuzz`` writes any counterexample to a replay
 file that ``detect --check`` can re-run directly.
 """
 
@@ -386,11 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay-dir", help="directory for counterexample replay files")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("bench", help="peak-space measurements on random and adversarial inputs")
+    p = sub.add_parser("bench", help="each detector's space bound and its adversary's peak")
     p.add_argument("--pattern", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated universe sizes")
-    p.add_argument("--trials", type=_int_option, default=20)
-    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--json", action="store_true")
 
     return parser

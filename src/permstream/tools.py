@@ -18,7 +18,6 @@ import argparse
 import os
 import random
 import sys
-import time
 import warnings
 from itertools import combinations, islice, permutations
 from typing import Iterator
@@ -224,6 +223,8 @@ def _gen_disjointness(args: argparse.Namespace) -> tuple[dict, Outputs]:
     if args.nsets is None:
         raise UsageError(f"{args.construction} needs --nsets")
     if args.random_sets:
+        if args.s is not None or args.t is not None:
+            raise UsageError("give either --random-sets or --s/--t, not both")
         s, t = random_subsets(args.nsets, random.Random(args.seed))
     else:
         # an empty --s or --t is the empty set
@@ -447,23 +448,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
-    """Peak cells on seeded random permutations and on the detector's adversary."""
+def _bench_row(pattern: Pattern, n: int) -> dict:
+    """The detector's space bound, and its peak cells on its adversary."""
     if len(pattern) > n:
         raise UsageError(f"pattern {pattern} is longer than n={n}")
     detector = new_detector(pattern, n)
     bound_name, bound = detector.space_bound()
-    rng = random.Random(seed)
-    random_peak = 0
-    accepts = 0
-    t0 = time.monotonic()
-    for _ in range(trials):
-        tau = list(range(1, n + 1))
-        rng.shuffle(tau)
-        inst = StreamInstance(n=n, mode=StreamMode.PERMUTATION, elements=tuple(tau))
-        rep = run_detector(inst, pattern)
-        random_peak = max(random_peak, rep.peak_cells)
-        accepts += rep.verdict
     adv = detector.adversary()
     adv_peak = None
     adv_structures: dict[str, int] = {}
@@ -476,17 +466,12 @@ def _bench_row(pattern: Pattern, n: int, trials: int, seed: int) -> dict:
         adv_structures = rep.structure_peaks
     return {
         "n": n,
-        "trials": trials,
-        "accept_rate": accepts / trials if trials else None,
         "bound": bound_name,
         "bound_value": round(bound, 3),
-        "random_peak_cells": random_peak if trials else None,
-        "random_ratio": round(random_peak / bound, 4) if trials else None,
         "adversarial_peak_cells": adv_peak,
         "adversarial_ratio": round(adv_peak / bound, 4) if adv_peak else None,
         "adversarial_structures": adv_structures,
         "bits_per_cell": bits_per_cell(n),
-        "seconds": round(time.monotonic() - t0, 3),
     }
 
 
@@ -495,29 +480,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _int_list(args.sizes, "--sizes")
     if any(n < 1 for n in sizes):
         raise UsageError("--sizes must be positive")
-    if args.trials < 0:
-        raise UsageError(f"--trials must be at least 0, got {args.trials}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the baseline's dispatch warning
-        rows = [_bench_row(pattern, n, args.trials, args.seed) for n in sizes]
+        rows = [_bench_row(pattern, n) for n in sizes]
 
-    human = [f"bench pattern {pattern} ({args.trials} random trials per size)"]
-    header = (
-        f"{'n':>8} {'bound':>18} {'rand peak':>10} {'ratio':>8} "
-        f"{'adv peak':>9} {'ratio':>8} {'sec':>7}"
-    )
-    human.append(header)
+    human = [f"bench pattern {pattern}", f"{'n':>8} {'bound':>18} {'adv peak':>9} {'ratio':>8}"]
     for row in rows:
-        # '-' for what a row did not measure: no trials, or no adversary
+        # '-' where the detector has no adversary
         cell = {key: "-" if value is None else value for key, value in row.items()}
         human.append(
-            f"{cell['n']:>8} {cell['bound_value']:>18} {cell['random_peak_cells']:>10} "
-            f"{cell['random_ratio']:>8} {cell['adversarial_peak_cells']:>9} "
-            f"{cell['adversarial_ratio']:>8} {cell['seconds']:>7}"
+            f"{cell['n']:>8} {cell['bound_value']:>18} "
+            f"{cell['adversarial_peak_cells']:>9} {cell['adversarial_ratio']:>8}"
         )
-    _emit(
-        args,
-        {"command": "bench", "pattern": str(pattern), "seed": args.seed, "rows": rows},
-        human,
-    )
+    _emit(args, {"command": "bench", "pattern": str(pattern), "rows": rows}, human)
     return 0

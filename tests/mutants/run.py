@@ -70,6 +70,21 @@ MUTANTS = (
         ("tests/test_cli.py::test_fuzz_reports_and_replays_the_first_disagreement",),
     ),
     Mutant(
+        "bench-row-skips-the-adversary",
+        "permstream/tools.py",
+        "    adv = detector.adversary()\n",
+        "    adv = None\n",
+        ("tests/test_detector_table.py::test_bench_rows_are_pinned",),
+    ),
+    Mutant(
+        "gen-random-sets-takes-explicit-sets-too",
+        "permstream/tools.py",
+        "        if args.s is not None or args.t is not None:\n"
+        "            raise UsageError(\"give either --random-sets or --s/--t, not both\")\n",
+        "",
+        ("tests/test_cli.py::test_gen_random_sets_refuse_given_sets",),
+    ),
+    Mutant(
         # detect --check and fuzz both judge a run here: each must then miss
         # a witness that does not hold
         "judge-ignores-the-witness",

@@ -201,6 +201,13 @@ def test_gen_random_sets_reproducible(capsys):
     assert json_out(capsys)["stream"] == first["stream"]
 
 
+@pytest.mark.parametrize("sets", [["--s", "1,2", "--t", "2"], ["--s", ""], ["--t", "3"]])
+def test_gen_random_sets_refuse_given_sets(sets, capsys):
+    argv = ["gen", "--construction", "seq312", "--nsets", "3", *sets, "--random-sets"]
+    assert run_cli(*argv, "--seed", "1") == 2
+    assert capsys.readouterr() == ("", "error: give either --random-sets or --s/--t, not both\n")
+
+
 def test_gen_monotone_lb_writes_pair(tmp_path):
     prefix = tmp_path / "mlb"
     assert run_cli(
@@ -287,7 +294,6 @@ def test_fuzz_rejects_an_empty_universe(n, exhaustive, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "--pattern", "12", "--sizes", "4"],
     ["fuzz", "--pattern", "12", "--n", "4"],
     ["fuzz", "--construction", "4312", "--nsets", "2"],
 ])
@@ -845,39 +851,60 @@ def test_a_size_past_the_bytes_read_is_read_by_one_process(split_files, monkeypa
 
 
 def test_bench_reports_bounds(capsys):
-    code = run_cli("bench", "--pattern", "312", "--sizes", "64,256",
-                   "--trials", "4", "--seed", "2", "--json")
+    code = run_cli("bench", "--pattern", "312", "--sizes", "64,256", "--json")
     assert code == 0
     rep = json_out(capsys)
+    assert sorted(rep) == ["command", "pattern", "rows", "schema", "wall_time_s"]
     assert [row["n"] for row in rep["rows"]] == [64, 256]
     for row in rep["rows"]:
         assert row["bound"] == "sqrt(n*log2(n))"
         assert row["adversarial_peak_cells"] is not None
         assert row["adversarial_ratio"] < 4
-        assert row["random_peak_cells"] >= 2
 
 
 def test_bench_monotone_bound_is_k(capsys):
-    assert run_cli("bench", "--pattern", "123", "--sizes", "100", "--trials", "3",
-                   "--json") == 0
+    assert run_cli("bench", "--pattern", "123", "--sizes", "100", "--json") == 0
     row = json_out(capsys)["rows"][0]
     assert row["bound"] == "k" and row["bound_value"] == 3.0
 
 
-def test_bench_without_trials_reports_no_random_peak(capsys):
-    argv = ("bench", "--pattern", "312", "--sizes", "64", "--trials", "0")
-    assert run_cli(*argv, "--json") == 0
-    row = json_out(capsys)["rows"][0]
-    assert row["accept_rate"] is row["random_peak_cells"] is row["random_ratio"] is None
-    assert row["adversarial_peak_cells"] is not None
-    assert run_cli(*argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1].split()[2:4] == ["-", "-"]
+@pytest.mark.parametrize("pattern, row", [
+    ("231", "      64                8.0        50     6.25"),
+    ("4231", "      64               64.0         -        -"),  # the baseline has no adversary
+], ids=["adversary", "no-adversary"])
+def test_bench_table_shows_the_adversary_or_a_dash(pattern, row, capsys):
+    assert run_cli("bench", "--pattern", pattern, "--sizes", "64") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"bench pattern {pattern}",
+        "       n              bound  adv peak    ratio",
+        row,
+    ]
 
 
 def test_bench_usage_errors():
     assert run_cli("bench", "--pattern", "312", "--sizes", "2") == 2  # pattern > n
     assert run_cli("bench", "--pattern", "312", "--sizes", "abc") == 2
     assert run_cli("bench", "--pattern", "312", "--sizes", "0") == 2
+
+
+# -- --json stability -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--pattern", "231", "--values", "2,5,1,4,3", "--n", "5", "--check"],
+    ["oracle", "--pattern", "312", "--values", "3,1,2,4", "--n", "4", "--count", "--split", "2"],
+    ["gen", "--construction", "4312", "--nsets", "8", "--random-sets", "--seed", "5"],
+    ["fuzz", "--pattern", "213", "--n", "16", "--trials", "64", "--seed", "1", "--jobs", "1"],
+    ["bench", "--pattern", "231", "--sizes", "4096,16384"],
+], ids=lambda argv: argv[0])
+def test_json_differs_between_runs_only_in_the_wall_time(argv, capsys):
+    outs = []
+    for _ in range(2):
+        assert run_cli(*argv, "--json") == 0
+        out = capsys.readouterr().out
+        assert out.count('"wall_time_s": ') == 1
+        outs.append(re.sub(r'"wall_time_s": [-+.0-9e]+', "", out))
+    assert outs[0] == outs[1]
 
 
 # -- entry point ------------------------------------------------------------------
